@@ -47,7 +47,7 @@ workload::LoadPoint MeasureRdma2Reads(const net::CostModel& model,
                                       obs::PointObs* pobs) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, model);
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   net::HostId server = fabric.AddHost("server");
   net::HostId client_host = fabric.AddHost("client");
   rdma::AddressSpace mem(1 << 21);
@@ -100,7 +100,7 @@ workload::LoadPoint MeasurePrismIndirect(const net::CostModel& model,
                                          obs::PointObs* pobs) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, model);
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   net::HostId server_host = fabric.AddHost("server");
   net::HostId client_host = fabric.AddHost("client");
   rdma::AddressSpace mem(1 << 21);

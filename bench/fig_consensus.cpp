@@ -75,7 +75,7 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
                                       obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   std::vector<net::HostId> hosts;
   for (int r = 0; r < kConsReplicas; ++r) {
     hosts.push_back(fabric.AddHost("cons-r" + std::to_string(r)));
@@ -183,7 +183,7 @@ workload::LoadPoint RunAbdPoint(const PointCfg& cfg,
                                 obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   rs::AbdLockOptions aopts;
   aopts.n_blocks = kConsKeys;
   aopts.block_size = consensus::kValueSize;  // identical payloads
@@ -310,7 +310,7 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
                                      obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   std::vector<net::HostId> hosts;
   for (int r = 0; r < kConsReplicas; ++r) {
     hosts.push_back(fabric.AddHost("cons-r" + std::to_string(r)));

@@ -232,7 +232,7 @@ workload::LoadPoint RunPrismOverloadPoint(const OverloadConfig& cfg,
                                           obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   net::HostId server_host = fabric.AddHost("kv-server");
   kv::PrismKvOptions opts;
   const uint64_t keys = BenchKeyCount();
@@ -262,7 +262,7 @@ workload::LoadPoint RunPilafOverloadPoint(const OverloadConfig& cfg,
                                           obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   net::HostId server_host = fabric.AddHost("pilaf-server");
   kv::PilafOptions opts;
   const uint64_t keys = BenchKeyCount();

@@ -66,7 +66,7 @@ workload::LoadPoint RunSyncPoint(const SyncConfig& cfg,
                                  obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   sync::SyncOptions sopts;
   sopts.n_slots = 64;
   sync::SyncIndexServer server(&fabric, fabric.AddHost("sync-server"), sopts);

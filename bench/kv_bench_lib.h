@@ -31,7 +31,7 @@ inline workload::LoadPoint RunPrismKvPoint(int n_clients, double read_frac,
                                            obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   net::HostId server_host = fabric.AddHost("kv-server");
   kv::PrismKvOptions opts;
   const uint64_t keys = BenchKeyCount();
@@ -99,7 +99,7 @@ inline workload::LoadPoint RunPilafPoint(int n_clients, double read_frac,
                                          obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   net::HostId server_host = fabric.AddHost("pilaf-server");
   kv::PilafOptions opts;
   const uint64_t keys = BenchKeyCount();

@@ -26,7 +26,7 @@ inline workload::LoadPoint RunPrismRsPoint(int n_clients, double write_frac,
                                            obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   rs::PrismRsOptions opts;
   opts.n_blocks = RsBlockCount();
   opts.block_size = kRsBlockSize;
@@ -87,7 +87,7 @@ inline workload::LoadPoint RunAbdLockPoint(int n_clients, double write_frac,
                                            obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   rs::AbdLockOptions opts;
   opts.n_blocks = RsBlockCount();
   opts.block_size = kRsBlockSize;

@@ -27,7 +27,7 @@ inline workload::LoadPoint RunPrismTxPoint(int n_clients, double zipf_theta,
                                            obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   tx::PrismTxOptions opts;
   opts.keys_per_shard = TxKeyCount();
   opts.value_size = kTxValueSize;
@@ -97,7 +97,7 @@ inline workload::LoadPoint RunFarmPoint(int n_clients, double zipf_theta,
                                         obs::PointObs* pobs = nullptr) {
   sim::Simulator sim;
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.AttachTracer(pobs->tracer);
+  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
   tx::FarmOptions opts;
   opts.keys_per_shard = TxKeyCount();
   opts.value_size = kTxValueSize;

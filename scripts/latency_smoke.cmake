@@ -191,6 +191,19 @@ if(NOT rc EQUAL 2)
     "trace-shaped validation of an ATTRIB file should exit 2, got ${rc}:\n${out}")
 endif()
 
+# An empty or negative MINSHARE would pass vacuously, and a NaN one or one
+# above 1 could never pass: all four are malformed specs (exit 2).
+foreach(spec IN ITEMS "--expect=CAS-spinlock/*/retransmit/"
+                      "--expect=CAS-spinlock/*/retransmit/-1"
+                      "--expect=CAS-spinlock/*/retransmit/nan"
+                      "--expect=CAS-spinlock/*/retransmit/1.5")
+  report(rc out "${spec}" results/ATTRIB_fig_sync.json)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+      "malformed share ${spec} should exit 2, got ${rc}:\n${out}")
+  endif()
+endforeach()
+
 message(STATUS
   "latency smoke OK: deterministic artifacts, verdicts asserted, "
   "exit codes 1/2 pinned")

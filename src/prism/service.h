@@ -67,8 +67,8 @@ class PrismServer {
         deployment_(deployment),
         mem_(mem),
         executor_(mem, &freelists_),
-        nic_pipeline_(fabric->sim(host), fabric->cost().nic_pipeline_units),
-        bf_cores_(fabric->sim(host), fabric->cost().bf_cores) {
+        nic_pipeline_(fabric->simulator(), fabric->cost().nic_pipeline_units),
+        bf_cores_(fabric->simulator(), fabric->cost().bf_cores) {
     obs::MetricsRegistry& m = fabric->obs().metrics();
     const std::string& hn = fabric->HostName(host);
     chains_metric_ = m.AddCounter("prism", "chains_executed", hn);
@@ -170,36 +170,36 @@ class PrismServer {
     // Entered synchronously from the request-delivery event; the register
     // still holds the issuing client's prism.execute span.
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "prism.chain", "prism", host_, fabric_->sim(host_)->Now());
+        "prism.chain", "prism", host_, fabric_->simulator()->Now());
     const net::CostModel& c = fabric_->cost();
     ++in_flight_;
     const uint64_t chain_id = next_chain_id_++;
     active_chains_.insert(chain_id);
     switch (deployment_) {
       case Deployment::kSoftware: {
-        co_await sim::SleepFor(fabric_->sim(host_),
+        co_await sim::SleepFor(fabric_->simulator(),
                                c.sw_ring_dma + c.sw_queue_delay);
         co_await fabric_->Cores(host_).Acquire();
-        co_await sim::SleepFor(fabric_->sim(host_), c.sw_dispatch);
+        co_await sim::SleepFor(fabric_->simulator(), c.sw_dispatch);
         co_await ExecuteOps(chain, results);
         fabric_->Cores(host_).Release();
-        co_await sim::SleepFor(fabric_->sim(host_), c.sw_tx);
+        co_await sim::SleepFor(fabric_->simulator(), c.sw_tx);
         break;
       }
       case Deployment::kHardwareProjected: {
         co_await nic_pipeline_.Acquire();
-        co_await sim::SleepFor(fabric_->sim(host_), c.nic_process);
+        co_await sim::SleepFor(fabric_->simulator(), c.nic_process);
         co_await ExecuteOps(chain, results);
         nic_pipeline_.Release();
         break;
       }
       case Deployment::kBlueField: {
-        co_await sim::SleepFor(fabric_->sim(host_), c.sw_ring_dma);
+        co_await sim::SleepFor(fabric_->simulator(), c.sw_ring_dma);
         co_await bf_cores_.Acquire();
-        co_await sim::SleepFor(fabric_->sim(host_), c.bf_dispatch);
+        co_await sim::SleepFor(fabric_->simulator(), c.bf_dispatch);
         co_await ExecuteOps(chain, results);
         bf_cores_.Release();
-        co_await sim::SleepFor(fabric_->sim(host_), c.sw_tx);
+        co_await sim::SleepFor(fabric_->simulator(), c.sw_tx);
         break;
       }
     }
@@ -208,7 +208,7 @@ class PrismServer {
     --in_flight_;
     active_chains_.erase(chain_id);
     FlushPendingPosts();
-    fabric_->obs().FinishSpan(span, fabric_->sim(host_)->Now());
+    fabric_->obs().FinishSpan(span, fabric_->simulator()->Now());
   }
 
   sim::Task<void> ExecuteOps(std::shared_ptr<const Chain> chain,
@@ -217,7 +217,7 @@ class PrismServer {
     for (const Op& op : *chain) {
       // Charge the op's cost first, then apply its effect in this event —
       // concurrent chains interleave between ops, never inside one.
-      co_await sim::SleepFor(fabric_->sim(host_), OpCost(op));
+      co_await sim::SleepFor(fabric_->simulator(), OpCost(op));
       results->push_back(executor_.ExecuteOne(op, ctx));
       ops_executed_++;
       ops_metric_->Add();
@@ -292,10 +292,10 @@ class PrismClient {
   void set_batcher(rdma::VerbBatcher* b) { batcher_ = b; }
 
   sim::Task<Result<ChainResult>> Execute(PrismServer* server, Chain chain) {
-    auto state = std::make_shared<OpState>(fabric_->sim(self_),
+    auto state = std::make_shared<OpState>(fabric_->simulator(),
                                            TimedOut("prism chain"));
     state->span = fabric_->obs().StartSpan("prism.execute", "prism", self_,
-                                           fabric_->sim(self_)->Now());
+                                           fabric_->simulator()->Now());
     // Capture the current-op register before the first suspension point
     // (the span-register discipline); the post path is kBatchWait.
     state->op = fabric_->obs().current_op();
@@ -304,14 +304,14 @@ class PrismClient {
           fabric_->obs().tracer() != nullptr) {
         state->op->set_root_span(fabric_->obs().tracer()->RootOf(state->span));
       }
-      state->op->Switch(obs::Phase::kBatchWait, fabric_->sim(self_)->Now());
+      state->op->Switch(obs::Phase::kBatchWait, fabric_->simulator()->Now());
     }
     auto chain_ptr = std::make_shared<const Chain>(std::move(chain));
     if (batcher_ != nullptr) {
       co_await batcher_->Post(&tally_);
     } else {
       tally_.doorbells++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().client_post);
+      co_await sim::SleepFor(fabric_->simulator(), fabric_->cost().client_post);
     }
     const size_t req_payload = EncodedChainSize(*chain_ptr);
     tally_.messages++;
@@ -321,7 +321,7 @@ class PrismClient {
     if (server->deployment() != Deployment::kHardwareProjected) {
       tally_.cpu_actions++;
     }
-    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->sim(self_)->Now());
+    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->simulator()->Now());
     fabric_->obs().SetCurrentSpan(state->span);
     fabric_->obs().SetCurrentOp(state->op);
     fabric_->Send(
@@ -333,7 +333,7 @@ class PrismClient {
           // NIC, indistinguishable from the wire to the client.
           if (server->deployment() != Deployment::kHardwareProjected) {
             obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(server->host())->Now());
+                          fabric_->simulator()->Now());
           }
           sim::Spawn([this, server, chain_ptr, state]() -> sim::Task<void> {
             auto results = std::make_shared<ChainResult>();
@@ -343,12 +343,12 @@ class PrismClient {
             state->result = std::move(*results);
             state->resp_bytes = resp_bytes;
             obs::SwitchOp(state->op, obs::Phase::kWire,
-                          fabric_->sim(server->host())->Now());
+                          fabric_->simulator()->Now());
             fabric_->obs().SetCurrentSpan(state->span);
             fabric_->obs().SetCurrentOp(state->op);
             fabric_->Send(server->host(), self_, resp_bytes, [this, state] {
               obs::SwitchOp(state->op, obs::Phase::kBatchWait,
-                            fabric_->sim(self_)->Now());
+                            fabric_->simulator()->Now());
               if (!state->done.is_set()) {
                 state->responded = true;
                 state->done.Set();
@@ -357,7 +357,7 @@ class PrismClient {
           });
         },
         [state] { state->Finish(Unavailable("host down")); });
-    fabric_->sim(self_)->Schedule(kOpTimeout, [state] {
+    fabric_->simulator()->Schedule(kOpTimeout, [state] {
       state->Finish(TimedOut("chain deadline"));
     });
     co_await state->done.Wait();
@@ -365,17 +365,17 @@ class PrismClient {
       co_await batcher_->Complete(&tally_);
     } else {
       tally_.cq_polls++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().completion);
+      co_await sim::SleepFor(fabric_->simulator(), fabric_->cost().completion);
     }
     if (state->responded) {
       tally_.round_trips++;
       tally_.bytes_in += state->resp_bytes;
     }
-    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->sim(self_)->Now());
+    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->simulator()->Now());
     // Restore the register before returning: the caller resumes
     // synchronously from here, so its next verb captures the right op.
     fabric_->obs().SetCurrentOp(state->op);
-    fabric_->obs().FinishSpan(state->span, fabric_->sim(self_)->Now());
+    fabric_->obs().FinishSpan(state->span, fabric_->simulator()->Now());
     co_return std::move(state->result);
   }
 

@@ -49,7 +49,7 @@ class RdmaService {
         host_(host),
         backend_(backend),
         mem_(mem),
-        nic_pipeline_(fabric->sim(host), fabric->cost().nic_pipeline_units),
+        nic_pipeline_(fabric->simulator(), fabric->cost().nic_pipeline_units),
         ops_metric_(fabric->obs().metrics().AddCounter(
             "rdma", "server_ops", fabric->HostName(host))) {}
 
@@ -65,20 +65,20 @@ class RdmaService {
     // Entered synchronously from the request-delivery event; the register
     // still holds the issuing client's verb span.
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "rdma.server", "rdma", host_, fabric_->sim(host_)->Now());
+        "rdma.server", "rdma", host_, fabric_->simulator()->Now());
     const net::CostModel& c = fabric_->cost();
     if (backend_ == Backend::kHardwareNic) {
       co_await nic_pipeline_.Use(c.nic_process);
-      co_await sim::SleepFor(fabric_->sim(host_), memory_cost);
+      co_await sim::SleepFor(fabric_->simulator(), memory_cost);
     } else {
-      co_await sim::SleepFor(fabric_->sim(host_),
+      co_await sim::SleepFor(fabric_->simulator(),
                              c.sw_ring_dma + c.sw_queue_delay);
       co_await fabric_->Cores(host_).Use(c.sw_dispatch + c.sw_primitive);
-      co_await sim::SleepFor(fabric_->sim(host_), c.sw_tx);
+      co_await sim::SleepFor(fabric_->simulator(), c.sw_tx);
     }
     ops_executed_++;
     ops_metric_->Add();
-    fabric_->obs().FinishSpan(span, fabric_->sim(host_)->Now());
+    fabric_->obs().FinishSpan(span, fabric_->simulator()->Now());
   }
 
   // ---- Same-QP ordering around atomics ---------------------------------
@@ -106,7 +106,7 @@ class RdmaService {
     AtomicTicket t;
     std::shared_ptr<sim::Event>& tail = atomic_tail_[src];
     t.prev = tail;
-    t.mine = std::make_shared<sim::Event>(fabric_->sim(host_));
+    t.mine = std::make_shared<sim::Event>(fabric_->simulator());
     tail = t.mine;
     return t;
   }
@@ -152,10 +152,10 @@ class RdmaClient {
 
   sim::Task<Result<Bytes>> Read(RdmaService* svc, RKey rkey, Addr addr,
                                 uint64_t len) {
-    auto state = std::make_shared<OpState<Bytes>>(fabric_->sim(self_),
+    auto state = std::make_shared<OpState<Bytes>>(fabric_->simulator(),
                                                   TimedOut("rdma read"));
     state->span = fabric_->obs().StartSpan("rdma.read", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
+                                           fabric_->simulator()->Now());
     BeginOp(state);
     co_await PostGate();
     PreSend(svc, state, 16);
@@ -167,7 +167,7 @@ class RdmaClient {
           // time is "responder"; the hardware NIC path stays on the wire.
           if (svc->backend() == Backend::kSoftwareStack) {
             obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
+                          fabric_->simulator()->Now());
           }
           sim::Spawn([this, svc, rkey, addr, len, state]() -> sim::Task<void> {
             auto gate = svc->AtomicGate(self_);
@@ -184,10 +184,10 @@ class RdmaClient {
   }
 
   sim::Task<Status> Write(RdmaService* svc, RKey rkey, Addr addr, Bytes data) {
-    auto state = std::make_shared<OpState<Bytes>>(fabric_->sim(self_),
+    auto state = std::make_shared<OpState<Bytes>>(fabric_->simulator(),
                                                   TimedOut("rdma write"));
     state->span = fabric_->obs().StartSpan("rdma.write", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
+                                           fabric_->simulator()->Now());
     BeginOp(state);
     co_await PostGate();
     const size_t req_payload = 16 + data.size();
@@ -201,7 +201,7 @@ class RdmaClient {
           // time is "responder"; the hardware NIC path stays on the wire.
           if (svc->backend() == Backend::kSoftwareStack) {
             obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
+                          fabric_->simulator()->Now());
           }
           sim::Spawn([this, svc, rkey, addr, payload,
                       state]() -> sim::Task<void> {
@@ -225,10 +225,10 @@ class RdmaClient {
   sim::Task<Result<uint64_t>> CompareSwap(RdmaService* svc, RKey rkey,
                                           Addr addr, uint64_t compare,
                                           uint64_t swap) {
-    auto state = std::make_shared<OpState<uint64_t>>(fabric_->sim(self_),
+    auto state = std::make_shared<OpState<uint64_t>>(fabric_->simulator(),
                                                      TimedOut("rdma cas"));
     state->span = fabric_->obs().StartSpan("rdma.cas", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
+                                           fabric_->simulator()->Now());
     BeginOp(state);
     co_await PostGate();
     PreSend(svc, state, 32);
@@ -240,7 +240,7 @@ class RdmaClient {
           // time is "responder"; the hardware NIC path stays on the wire.
           if (svc->backend() == Backend::kSoftwareStack) {
             obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
+                          fabric_->simulator()->Now());
           }
           sim::Spawn([this, svc, rkey, addr, compare, swap,
                       state]() -> sim::Task<void> {
@@ -262,10 +262,10 @@ class RdmaClient {
 
   sim::Task<Result<uint64_t>> FetchAdd(RdmaService* svc, RKey rkey, Addr addr,
                                        uint64_t delta) {
-    auto state = std::make_shared<OpState<uint64_t>>(fabric_->sim(self_),
+    auto state = std::make_shared<OpState<uint64_t>>(fabric_->simulator(),
                                                      TimedOut("rdma faa"));
     state->span = fabric_->obs().StartSpan("rdma.faa", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
+                                           fabric_->simulator()->Now());
     BeginOp(state);
     co_await PostGate();
     PreSend(svc, state, 24);
@@ -277,7 +277,7 @@ class RdmaClient {
           // time is "responder"; the hardware NIC path stays on the wire.
           if (svc->backend() == Backend::kSoftwareStack) {
             obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
+                          fabric_->simulator()->Now());
           }
           sim::Spawn(
               [this, svc, rkey, addr, delta, state]() -> sim::Task<void> {
@@ -303,9 +303,9 @@ class RdmaClient {
       RdmaService* svc, RKey rkey, Addr addr, Bytes data, Bytes cmp_mask,
       Bytes swap_mask, CasCompare mode = CasCompare::kEqual) {
     auto state = std::make_shared<OpState<CasOutcome>>(
-        fabric_->sim(self_), TimedOut("rdma masked cas"));
+        fabric_->simulator(), TimedOut("rdma masked cas"));
     state->span = fabric_->obs().StartSpan("rdma.masked_cas", "rdma", self_,
-                                           fabric_->sim(self_)->Now());
+                                           fabric_->simulator()->Now());
     BeginOp(state);
     co_await PostGate();
     const size_t req_payload = 16 + 3 * data.size();
@@ -325,7 +325,7 @@ class RdmaClient {
           // time is "responder"; the hardware NIC path stays on the wire.
           if (svc->backend() == Backend::kSoftwareStack) {
             obs::SwitchOp(state->op, obs::Phase::kResponder,
-                          fabric_->sim(svc->host())->Now());
+                          fabric_->simulator()->Now());
           }
           sim::Spawn([this, svc, rkey, addr, args, mode, state,
                       width]() -> sim::Task<void> {
@@ -378,7 +378,7 @@ class RdmaClient {
         hub.tracer() != nullptr) {
       state->op->set_root_span(hub.tracer()->RootOf(state->span));
     }
-    state->op->Switch(obs::Phase::kBatchWait, fabric_->sim(self_)->Now());
+    state->op->Switch(obs::Phase::kBatchWait, fabric_->simulator()->Now());
   }
 
   // Post-side gate every verb awaits before handing its WR to the fabric.
@@ -390,7 +390,7 @@ class RdmaClient {
       co_await batcher_->Post(&tally_);
     } else {
       tally_.doorbells++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().client_post);
+      co_await sim::SleepFor(fabric_->simulator(), fabric_->cost().client_post);
     }
   }
 
@@ -401,7 +401,7 @@ class RdmaClient {
       co_await batcher_->Complete(&tally_);
     } else {
       tally_.cq_polls++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().completion);
+      co_await sim::SleepFor(fabric_->simulator(), fabric_->cost().completion);
     }
   }
 
@@ -414,7 +414,7 @@ class RdmaClient {
     tally_.messages++;
     tally_.bytes_out += req_bytes;
     if (svc->backend() == Backend::kSoftwareStack) tally_.cpu_actions++;
-    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->sim(self_)->Now());
+    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->simulator()->Now());
     fabric_->obs().SetCurrentSpan(state->span);
     fabric_->obs().SetCurrentOp(state->op);
   }
@@ -424,14 +424,14 @@ class RdmaClient {
                size_t payload) {
     state->resp_bytes = payload;
     obs::SwitchOp(state->op, obs::Phase::kWire,
-                  fabric_->sim(svc->host())->Now());
+                  fabric_->simulator()->Now());
     fabric_->obs().SetCurrentSpan(state->span);
     fabric_->obs().SetCurrentOp(state->op);
     fabric_->Send(svc->host(), self_, payload, [this, state] {
       // Response delivered: the client-side completion path (CQ poll or
       // coalesced drain) starts here.
       obs::SwitchOp(state->op, obs::Phase::kBatchWait,
-                    fabric_->sim(self_)->Now());
+                    fabric_->simulator()->Now());
       if (!state->done.is_set()) {
         state->responded = true;
         state->done.Set();
@@ -442,7 +442,7 @@ class RdmaClient {
   template <typename T>
   sim::Task<Result<T>> Complete(std::shared_ptr<OpState<T>> state) {
     // Timeout guard: fires only if neither response nor drop arrived.
-    fabric_->sim(self_)->Schedule(kOpTimeout, [state] {
+    fabric_->simulator()->Schedule(kOpTimeout, [state] {
       state->Finish(TimedOut("op deadline"));
     });
     co_await state->done.Wait();
@@ -451,11 +451,11 @@ class RdmaClient {
       tally_.round_trips++;
       tally_.bytes_in += state->resp_bytes;
     }
-    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->sim(self_)->Now());
+    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->simulator()->Now());
     // Restore the register before returning: the caller resumes
     // synchronously from here, so its next verb captures the right op.
     fabric_->obs().SetCurrentOp(state->op);
-    fabric_->obs().FinishSpan(state->span, fabric_->sim(self_)->Now());
+    fabric_->obs().FinishSpan(state->span, fabric_->simulator()->Now());
     co_return std::move(state->result);
   }
 

@@ -101,12 +101,12 @@ class RpcServer {
     // Entered synchronously from the request-delivery event, so the hub's
     // current-span register still holds the caller's rpc.call span.
     const obs::SpanId span = fabric_->obs().StartSpan(
-        "rpc.serve", "rpc", host_, fabric_->sim(host_)->Now());
+        "rpc.serve", "rpc", host_, fabric_->simulator()->Now());
     const net::CostModel& c = fabric_->cost();
-    co_await sim::SleepFor(fabric_->sim(host_), c.sw_ring_dma);
+    co_await sim::SleepFor(fabric_->simulator(), c.sw_ring_dma);
     sim::ServiceQueue& cores = fabric_->Cores(host_);
     co_await cores.Acquire();
-    co_await sim::SleepFor(fabric_->sim(host_),
+    co_await sim::SleepFor(fabric_->simulator(),
                            c.rpc_dispatch + c.rpc_handler);
     auto it = handlers_.find(method);
     MessagePtr response;
@@ -116,10 +116,10 @@ class RpcServer {
       response = Message::Empty();
     }
     cores.Release();
-    co_await sim::SleepFor(fabric_->sim(host_), c.sw_tx);
+    co_await sim::SleepFor(fabric_->simulator(), c.sw_tx);
     calls_served_++;
     served_metric_->Add();
-    fabric_->obs().FinishSpan(span, fabric_->sim(host_)->Now());
+    fabric_->obs().FinishSpan(span, fabric_->simulator()->Now());
     co_return response;
   }
 
@@ -149,9 +149,9 @@ class RpcClient {
 
   sim::Task<Result<MessagePtr>> Call(RpcServer* server, MethodId method,
                                      MessagePtr request_ptr) {
-    auto state = std::make_shared<CallState>(fabric_->sim(self_));
+    auto state = std::make_shared<CallState>(fabric_->simulator());
     state->span = fabric_->obs().StartSpan("rpc.call", "rpc", self_,
-                                           fabric_->sim(self_)->Now());
+                                           fabric_->simulator()->Now());
     // Capture the current-op register before the first suspension point
     // (the span-register discipline); the post path is kBatchWait.
     state->op = fabric_->obs().current_op();
@@ -160,19 +160,19 @@ class RpcClient {
           fabric_->obs().tracer() != nullptr) {
         state->op->set_root_span(fabric_->obs().tracer()->RootOf(state->span));
       }
-      state->op->Switch(obs::Phase::kBatchWait, fabric_->sim(self_)->Now());
+      state->op->Switch(obs::Phase::kBatchWait, fabric_->simulator()->Now());
     }
     if (batcher_ != nullptr) {
       co_await batcher_->Post(&tally_);
     } else {
       tally_.doorbells++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().client_post);
+      co_await sim::SleepFor(fabric_->simulator(), fabric_->cost().client_post);
     }
     const size_t req_wire = request_ptr->wire_bytes();
     tally_.messages++;
     tally_.bytes_out += req_wire;
     tally_.cpu_actions++;  // every RPC consumes a server core
-    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->sim(self_)->Now());
+    obs::SwitchOp(state->op, obs::Phase::kWire, fabric_->simulator()->Now());
     fabric_->obs().SetCurrentSpan(state->span);
     fabric_->obs().SetCurrentOp(state->op);
     fabric_->Send(
@@ -182,7 +182,7 @@ class RpcClient {
           // Every RPC burns a server core: delivery-to-response is
           // "responder" by definition.
           obs::SwitchOp(state->op, obs::Phase::kResponder,
-                        fabric_->sim(server->host())->Now());
+                        fabric_->simulator()->Now());
           sim::Spawn([this, server, method, request_ptr,
                       state]() -> sim::Task<void> {
             MessagePtr response = co_await server->Serve(method, request_ptr);
@@ -190,12 +190,12 @@ class RpcClient {
             state->response = std::move(response);
             state->resp_bytes = resp_wire;
             obs::SwitchOp(state->op, obs::Phase::kWire,
-                          fabric_->sim(server->host())->Now());
+                          fabric_->simulator()->Now());
             fabric_->obs().SetCurrentSpan(state->span);
             fabric_->obs().SetCurrentOp(state->op);
             fabric_->Send(server->host(), self_, resp_wire, [this, state] {
               obs::SwitchOp(state->op, obs::Phase::kBatchWait,
-                            fabric_->sim(self_)->Now());
+                            fabric_->simulator()->Now());
               if (!state->done.is_set()) {
                 state->responded = true;
                 state->done.Set();
@@ -204,7 +204,7 @@ class RpcClient {
           });
         },
         [state] { state->Finish(Unavailable("host down")); });
-    fabric_->sim(self_)->Schedule(kRpcTimeout, [state] {
+    fabric_->simulator()->Schedule(kRpcTimeout, [state] {
       state->Finish(TimedOut("rpc deadline"));
     });
     co_await state->done.Wait();
@@ -212,17 +212,17 @@ class RpcClient {
       co_await batcher_->Complete(&tally_);
     } else {
       tally_.cq_polls++;
-      co_await sim::SleepFor(fabric_->sim(self_), fabric_->cost().completion);
+      co_await sim::SleepFor(fabric_->simulator(), fabric_->cost().completion);
     }
     if (state->responded) {
       tally_.round_trips++;
       tally_.bytes_in += state->resp_bytes;
     }
-    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->sim(self_)->Now());
+    obs::SwitchOp(state->op, obs::Phase::kApp, fabric_->simulator()->Now());
     // Restore the register before returning: the caller resumes
     // synchronously from here, so its next call captures the right op.
     fabric_->obs().SetCurrentOp(state->op);
-    fabric_->obs().FinishSpan(state->span, fabric_->sim(self_)->Now());
+    fabric_->obs().FinishSpan(state->span, fabric_->simulator()->Now());
     if (!state->error.ok()) co_return state->error;
     co_return std::move(state->response);
   }

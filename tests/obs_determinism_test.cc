@@ -26,7 +26,6 @@
 #include "src/net/fabric.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace.h"
-#include "src/sim/psim.h"
 #include "src/workload/open_loop.h"
 
 namespace prism::bench {
@@ -167,14 +166,12 @@ TEST_F(ObsDeterminismTest, IdentityScheduleHookIsBitIdentical) {
   }
 }
 
-// ---- ClusterSim: observability artifacts across worker counts ----
+// ---- observability artifacts: traced reruns ----
 //
-// The attribution layer's determinism contract extended to the parallel DES
-// core: requesting a tracer on a cluster-backed fabric downgrades it to the
-// serial engine (global completion order), so the trace JSON, the per-op
-// phase timelines, and the metrics snapshot are bit-identical no matter how
-// many cores were asked for. Metrics-only observation must keep the
-// parallel path — and still agree on every counter across worker counts.
+// The attribution layer's determinism contract on whole open-loop stacks:
+// attaching a tracer and per-op phase timelines executes exactly the events
+// an untraced run executes, and a traced rerun reproduces the Chrome trace
+// JSON, the timeline aggregate and the metrics snapshot byte for byte.
 
 // Canonical text form of everything a TimelineStore aggregates: per-class
 // exact phase sums, the latency digest, and the full exemplar reservoir
@@ -202,23 +199,21 @@ std::string TimelineFingerprint(const obs::TimelineStore& st) {
   return fp;
 }
 
-struct ClusterObsRun {
-  std::string serial_reason;
-  bool parallel = false;
+struct ObsRun {
   uint64_t executed = 0;
   std::string trace_json;   // empty when untraced
   std::string timeline_fp;  // empty when untraced
   obs::MetricsSnapshot snapshot;
 };
 
-ClusterObsRun RunClusterKvObs(int cores, bool traced) {
-  ClusterObsRun out;
-  sim::ClusterSim cluster(cores);
-  net::Fabric fabric(&cluster, net::CostModel::EvalCluster40G());
+ObsRun RunKvObs(bool traced) {
+  ObsRun out;
+  sim::Simulator sim;
+  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
   obs::Tracer tracer;
   obs::TimelineStore store;
   if (traced) {
-    fabric.AttachTracer(&tracer);
+    fabric.obs().SetTracer(&tracer);
     store.SetTracer(&tracer);
   }
   net::HostId server_host = fabric.AddHost("kv-server");
@@ -232,8 +227,7 @@ ClusterObsRun RunClusterKvObs(int cores, bool traced) {
 
   workload::PoolOptions popts;
   popts.workers = 8;
-  workload::OpenLoopPool pool(fabric.sim(ch),
-                              workload::ArrivalSpec::Poisson(4e5), 16,
+  workload::OpenLoopPool pool(&sim, workload::ArrivalSpec::Poisson(4e5), 16,
                               Rng(515), popts);
   if (traced) pool.set_timelines(&store, &fabric.obs(), ch);
   pool.AddClass("kv.get", 0.5,
@@ -250,12 +244,10 @@ ClusterObsRun RunClusterKvObs(int cores, bool traced) {
                   PRISM_CHECK(s.ok()) << s;
                 });
   pool.Start(sim::Micros(50), sim::Micros(550));
-  cluster.Run();
+  sim.Run();
   pool.CheckDrained();
 
-  out.serial_reason = cluster.serial_reason();
-  out.parallel = fabric.parallel();
-  out.executed = cluster.executed_events();
+  out.executed = sim.executed_events();
   out.snapshot = fabric.obs().metrics().Snapshot();
   if (traced) {
     out.trace_json = tracer.ToChromeJson(fabric.HostNames());
@@ -264,52 +256,32 @@ ClusterObsRun RunClusterKvObs(int cores, bool traced) {
   return out;
 }
 
-TEST_F(ObsDeterminismTest, ClusterObsArtifactsBitIdenticalAcrossCores) {
-  const ClusterObsRun t1 = RunClusterKvObs(1, true);
-  const ClusterObsRun t2 = RunClusterKvObs(2, true);
-  const ClusterObsRun t8 = RunClusterKvObs(8, true);
-
-  // The tracer request downgraded the cores>1 clusters with a logged
-  // reason; nothing ran parallel under observation.
-  EXPECT_NE(t2.serial_reason.find("tracing"), std::string::npos)
-      << "reason: " << t2.serial_reason;
-  EXPECT_NE(t8.serial_reason.find("tracing"), std::string::npos)
-      << "reason: " << t8.serial_reason;
-  EXPECT_FALSE(t2.parallel);
-  EXPECT_FALSE(t8.parallel);
-
-  // Every artifact — executed schedule, Chrome trace, timeline aggregate,
-  // metrics snapshot — is byte-identical to the cores=1 run.
-  for (const ClusterObsRun* r : {&t2, &t8}) {
-    EXPECT_EQ(t1.executed, r->executed);
-    EXPECT_EQ(t1.trace_json, r->trace_json);
-    EXPECT_EQ(t1.timeline_fp, r->timeline_fp);
-    EXPECT_TRUE(t1.snapshot == r->snapshot)
-        << "--- cores=1 ---\n" << t1.snapshot.ToText()
-        << "--- cores=N ---\n" << r->snapshot.ToText();
-  }
-  // And the serial runs actually recorded: spans exist and both client
-  // classes aggregated phase time.
-  EXPECT_NE(t1.trace_json.find("kv.get"), std::string::npos);
-  EXPECT_NE(t1.timeline_fp.find("kv.get"), std::string::npos);
-  EXPECT_NE(t1.timeline_fp.find("kv.put"), std::string::npos);
-
-  // Metrics-only observation keeps the parallel fast path, and the
-  // counters still cannot depend on the worker count.
-  const ClusterObsRun m2 = RunClusterKvObs(2, false);
-  const ClusterObsRun m8 = RunClusterKvObs(8, false);
-  EXPECT_TRUE(m2.serial_reason.empty()) << m2.serial_reason;
-  EXPECT_TRUE(m8.serial_reason.empty()) << m8.serial_reason;
-  EXPECT_TRUE(m2.parallel);
-  EXPECT_TRUE(m8.parallel);
-  EXPECT_EQ(t1.executed, m2.executed);  // same schedule as the traced run
-  EXPECT_EQ(m2.executed, m8.executed);
-  EXPECT_TRUE(m2.snapshot == m8.snapshot)
-      << "--- cores=2 ---\n" << m2.snapshot.ToText()
-      << "--- cores=8 ---\n" << m8.snapshot.ToText();
+// Tracing executes the untraced schedule, and a traced rerun reproduces
+// every artifact byte for byte. Returns the first traced run.
+ObsRun ExpectObsRerunIdentical(ObsRun (*run)(bool)) {
+  const ObsRun untraced = run(false);
+  const ObsRun t1 = run(true);
+  const ObsRun t2 = run(true);
+  EXPECT_EQ(untraced.executed, t1.executed);
+  EXPECT_EQ(t1.executed, t2.executed);
+  EXPECT_EQ(t1.trace_json, t2.trace_json);
+  EXPECT_EQ(t1.timeline_fp, t2.timeline_fp);
+  EXPECT_TRUE(t1.snapshot == t2.snapshot)
+      << "--- run 1 ---\n" << t1.snapshot.ToText()
+      << "--- run 2 ---\n" << t2.snapshot.ToText();
+  return t1;
 }
 
-// ---- consensus: complexity accounting and parallel-obs artifacts ----
+TEST_F(ObsDeterminismTest, KvPoolObsArtifactsRerunBitIdentical) {
+  const ObsRun t = ExpectObsRerunIdentical(&RunKvObs);
+  // The traced run actually recorded: spans exist and both client classes
+  // aggregated phase time.
+  EXPECT_NE(t.trace_json.find("kv.get"), std::string::npos);
+  EXPECT_NE(t.timeline_fp.find("kv.get"), std::string::npos);
+  EXPECT_NE(t.timeline_fp.find("kv.put"), std::string::npos);
+}
+
+// ---- consensus: complexity accounting and traced reruns ----
 
 // The §5.10 accountant: with the leader elected and every replica granted,
 // a consensus commit at n=3 is exactly two round trips (one PRISM chain per
@@ -361,20 +333,17 @@ TEST_F(ObsDeterminismTest, ConsensusCommitIsTwoRoundTripsAtNThree) {
       << "election control plane should have done work";
 }
 
-// The ATTRIB/TS contract extended to the consensus stack: tracing a
-// cluster-backed run downgrades to the serial engine and every artifact
-// (Chrome trace JSON, per-class phase-timeline aggregate, metrics snapshot,
-// executed-event count) is byte-identical no matter how many cores were
-// requested; metrics-only runs keep the parallel path and agree on every
-// counter.
-ClusterObsRun RunClusterConsensusObs(int cores, bool traced) {
-  ClusterObsRun out;
-  sim::ClusterSim cluster_sim(cores);
-  net::Fabric fabric(&cluster_sim, net::CostModel::EvalCluster40G());
+// The ATTRIB/TS contract extended to the consensus stack: the leader is
+// fixed at node 0 and an open-loop pool drives puts and heartbeat-confirmed
+// gets through it.
+ObsRun RunConsensusObs(bool traced) {
+  ObsRun out;
+  sim::Simulator sim;
+  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
   obs::Tracer tracer;
   obs::TimelineStore store;
   if (traced) {
-    fabric.AttachTracer(&tracer);
+    fabric.obs().SetTracer(&tracer);
     store.SetTracer(&tracer);
   }
   std::vector<net::HostId> hosts;
@@ -383,10 +352,6 @@ ClusterObsRun RunClusterConsensusObs(int cores, bool traced) {
   }
   consensus::ConsensusCluster cluster(&fabric, hosts,
                                       consensus::ConsensusOptions{});
-  // Parallel-safety discipline (see psim_determinism_test): the leader is
-  // fixed at node 0 and the open-loop pool lives on replica 0's simulator,
-  // so every leadership-state touch happens on host 0's engine and the
-  // remote replicas participate purely via fabric messages.
   consensus::ConsensusSession put_session(&cluster);
   consensus::ConsensusSession get_session(&cluster);
   sim::TaskTracker tracker;
@@ -399,8 +364,7 @@ ClusterObsRun RunClusterConsensusObs(int cores, bool traced) {
 
   workload::PoolOptions popts;
   popts.workers = 8;
-  workload::OpenLoopPool pool(fabric.sim(hosts[0]),
-                              workload::ArrivalSpec::Poisson(2e5), 16,
+  workload::OpenLoopPool pool(&sim, workload::ArrivalSpec::Poisson(2e5), 16,
                               Rng(606), popts);
   if (traced) pool.set_timelines(&store, &fabric.obs(), hosts[0]);
   pool.AddClass("cons.put", 0.5,
@@ -418,14 +382,12 @@ ClusterObsRun RunClusterConsensusObs(int cores, bool traced) {
                   (void)r;  // kNotFound races the first puts — expected
                 });
   pool.Start(sim::Micros(50), sim::Micros(550));
-  cluster_sim.Run();
+  sim.Run();
   pool.CheckDrained();
   PRISM_CHECK_EQ(tracker.live(), 0u);
   PRISM_CHECK_EQ(cluster.tracker().live(), 0u);
 
-  out.serial_reason = cluster_sim.serial_reason();
-  out.parallel = fabric.parallel();
-  out.executed = cluster_sim.executed_events();
+  out.executed = sim.executed_events();
   out.snapshot = fabric.obs().metrics().Snapshot();
   if (traced) {
     out.trace_json = tracer.ToChromeJson(fabric.HostNames());
@@ -434,35 +396,12 @@ ClusterObsRun RunClusterConsensusObs(int cores, bool traced) {
   return out;
 }
 
-TEST_F(ObsDeterminismTest, ClusterConsensusObsArtifactsBitIdenticalAcrossCores) {
-  const ClusterObsRun t1 = RunClusterConsensusObs(1, true);
-  const ClusterObsRun t8 = RunClusterConsensusObs(8, true);
-  EXPECT_NE(t8.serial_reason.find("tracing"), std::string::npos)
-      << "reason: " << t8.serial_reason;
-  EXPECT_FALSE(t8.parallel);
-  EXPECT_EQ(t1.executed, t8.executed);
-  EXPECT_EQ(t1.trace_json, t8.trace_json);
-  EXPECT_EQ(t1.timeline_fp, t8.timeline_fp);
-  EXPECT_TRUE(t1.snapshot == t8.snapshot)
-      << "--- cores=1 ---\n" << t1.snapshot.ToText()
-      << "--- cores=8 ---\n" << t8.snapshot.ToText();
-  // The serial traced run actually attributed consensus work.
-  EXPECT_NE(t1.trace_json.find("cons.put"), std::string::npos);
-  EXPECT_NE(t1.timeline_fp.find("cons.put"), std::string::npos);
-  EXPECT_NE(t1.timeline_fp.find("cons.get"), std::string::npos);
-
-  // Metrics-only keeps the parallel fast path and the same schedule.
-  const ClusterObsRun m2 = RunClusterConsensusObs(2, false);
-  const ClusterObsRun m8 = RunClusterConsensusObs(8, false);
-  EXPECT_TRUE(m2.serial_reason.empty()) << m2.serial_reason;
-  EXPECT_TRUE(m8.serial_reason.empty()) << m8.serial_reason;
-  EXPECT_TRUE(m2.parallel);
-  EXPECT_TRUE(m8.parallel);
-  EXPECT_EQ(t1.executed, m2.executed);
-  EXPECT_EQ(m2.executed, m8.executed);
-  EXPECT_TRUE(m2.snapshot == m8.snapshot)
-      << "--- cores=2 ---\n" << m2.snapshot.ToText()
-      << "--- cores=8 ---\n" << m8.snapshot.ToText();
+TEST_F(ObsDeterminismTest, ConsensusObsArtifactsRerunBitIdentical) {
+  const ObsRun t = ExpectObsRerunIdentical(&RunConsensusObs);
+  // The traced run actually attributed consensus work.
+  EXPECT_NE(t.trace_json.find("cons.put"), std::string::npos);
+  EXPECT_NE(t.timeline_fp.find("cons.put"), std::string::npos);
+  EXPECT_NE(t.timeline_fp.find("cons.get"), std::string::npos);
 }
 
 TEST_F(ObsDeterminismTest, Table1RoundTripsPrismVsPilaf) {

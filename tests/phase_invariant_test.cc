@@ -66,7 +66,7 @@ RunResult RunStack(uint64_t seed, const Build& build) {
   net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
   obs::Tracer tracer;
   if (seed % 2 == 0) {
-    fabric.AttachTracer(&tracer);
+    fabric.obs().SetTracer(&tracer);
     out.store->SetTracer(&tracer);
   }
 

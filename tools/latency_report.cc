@@ -337,7 +337,9 @@ struct Expectation {
   bool dominant_only = false;
 };
 
-// SERIES/CLASS/PHASE[/MINSHARE]; series names never contain '/'.
+// SERIES/CLASS/PHASE[/MINSHARE]; series names never contain '/'. MINSHARE
+// must be a finite number in [0, 1]: an empty or negative share would make
+// the check pass vacuously, and a NaN share or one above 1 could never pass.
 bool ParseExpectation(std::string_view spec, bool dominant, Expectation* out) {
   std::vector<std::string> parts;
   size_t start = 0;
@@ -353,9 +355,14 @@ bool ParseExpectation(std::string_view spec, bool dominant, Expectation* out) {
   out->phase = parts[2];
   out->dominant_only = dominant;
   if (!dominant) {
+    const char* begin = parts[3].c_str();
     char* end = nullptr;
-    out->min_share = std::strtod(parts[3].c_str(), &end);
-    if (end == nullptr || *end != '\0') return false;
+    out->min_share = std::strtod(begin, &end);
+    if (end == begin || *end != '\0') return false;
+    if (!std::isfinite(out->min_share) || out->min_share < 0 ||
+        out->min_share > 1) {
+      return false;
+    }
   }
   return true;
 }
