@@ -29,6 +29,7 @@
 #include "src/net/cost_model.h"
 #include "src/obs/obs.h"
 #include "src/obs/timeline.h"
+#include "src/sim/deadline.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 
@@ -38,8 +39,16 @@ using HostId = uint32_t;
 
 class Fabric {
  public:
+  // How long a verb, PRISM chain, RPC call or QP SEND waits for its answer
+  // before it completes kTimedOut (models RC transport retry exhaustion,
+  // compressed to keep failure tests fast).
+  static constexpr sim::Duration kOpTimeout = sim::Millis(5);
+
   Fabric(sim::Simulator* sim, CostModel model, uint64_t loss_seed = 0x10552)
-      : sim_(sim), model_(model), loss_rng_(loss_seed) {
+      : sim_(sim),
+        deadlines_(sim, kOpTimeout),
+        model_(model),
+        loss_rng_(loss_seed) {
     // Fabric and Simulator both outlive the hub's registry, so they report
     // through a snapshot-time provider instead of owned slots.
     obs_.metrics().AddProvider(
@@ -51,6 +60,10 @@ class Fabric {
   sim::Simulator* simulator() const { return sim_; }
 
   const CostModel& cost() const { return model_; }
+
+  // The one kOpTimeout deadline queue every client on this fabric arms
+  // after its request Send and cancels once the op resolves.
+  sim::DeadlineQueue& deadlines() { return deadlines_; }
 
   // Per-simulation observability root (metrics registry, op accounting,
   // optional span tracer). See src/obs/obs.h.
@@ -405,6 +418,7 @@ class Fabric {
   }
 
   sim::Simulator* sim_;
+  sim::DeadlineQueue deadlines_;
   CostModel model_;
   Rng loss_rng_;
   obs::Hub obs_;

@@ -278,8 +278,6 @@ class PrismClient {
 
   net::HostId host() const { return self_; }
 
-  static constexpr sim::Duration kOpTimeout = sim::Millis(5);
-
   // Executes a chain in one round trip. The ChainResult has one entry per op
   // (skipped conditional ops are marked executed=false).
   // Protocol-complexity tally across every chain issued by this client
@@ -357,10 +355,10 @@ class PrismClient {
           });
         },
         [state] { state->Finish(Unavailable("host down")); });
-    fabric_->simulator()->Schedule(kOpTimeout, [state] {
-      state->Finish(TimedOut("chain deadline"));
-    });
+    // Deadline guard: expires only if neither response nor drop arrived.
+    fabric_->deadlines().Arm(&state->deadline);
     co_await state->done.Wait();
+    state->deadline.Cancel();
     if (batcher_ != nullptr) {
       co_await batcher_->Complete(&tally_);
     } else {
@@ -399,6 +397,12 @@ class PrismClient {
     obs::OpTimeline* op = nullptr;  // phase timeline (null when untimed)
     size_t resp_bytes = 0;
     bool responded = false;
+    // Armed on the fabric's deadline queue while the chain awaits its answer.
+    sim::Deadline deadline{
+        [](void* s) {
+          static_cast<OpState*>(s)->Finish(TimedOut("chain deadline"));
+        },
+        this};
     void Finish(Status s) {
       if (!done.is_set()) {
         result = std::move(s);

@@ -41,7 +41,9 @@ sim::Task<Status> QueuePair::Send(Bytes data) {
           });
         },
         [state] { state->Finish(Unavailable("peer down")); });
+    fabric_->deadlines().Arm(&state->deadline);
     co_await state->done->Wait();
+    state->deadline.Cancel();
     if (state->result.code() != Code::kResourceExhausted) {
       co_return state->result;  // delivered, or a non-retryable failure
     }

@@ -107,7 +107,9 @@ class QueuePair {
 
   // Sends `data` to the connected peer. Completes OK once the receiver has
   // landed it in a posted buffer; kResourceExhausted on RNR (after the
-  // transport's bounded RNR retries); kUnavailable if the peer host is down.
+  // transport's bounded RNR retries); kUnavailable if the peer host is down;
+  // kTimedOut when an attempt gets no answer within net::Fabric::kOpTimeout
+  // (the peer crashed with the SEND in flight, or before its ack left).
   sim::Task<Status> Send(Bytes data);
 
   // Awaits the next receive completion on this QP's receive side.
@@ -130,6 +132,12 @@ class QueuePair {
     std::shared_ptr<sim::Event> done;
     Status result;
     net::HostId sender = 0;
+    // Armed on the fabric's deadline queue for each attempt in flight.
+    sim::Deadline deadline{
+        [](void* s) {
+          static_cast<SendState*>(s)->Finish(TimedOut("send deadline"));
+        },
+        this};
     void Reset() {
       done = std::make_shared<sim::Event>(sim);
       result = OkStatus();

@@ -146,9 +146,8 @@ class RdmaClient {
   // flat unbatched cost: one doorbell ring and one CQ drain per verb.
   void set_batcher(VerbBatcher* b) { batcher_ = b; }
 
-  // Deadline for an op before it completes kTimedOut (models RC transport
-  // retry exhaustion, compressed to keep failure tests fast).
-  static constexpr sim::Duration kOpTimeout = sim::Millis(5);
+  // Alias of the fabric-wide op deadline (net::Fabric::kOpTimeout).
+  static constexpr sim::Duration kOpTimeout = net::Fabric::kOpTimeout;
 
   sim::Task<Result<Bytes>> Read(RdmaService* svc, RKey rkey, Addr addr,
                                 uint64_t len) {
@@ -357,6 +356,12 @@ class RdmaClient {
     obs::OpTimeline* op = nullptr;  // phase timeline (null when untimed)
     size_t resp_bytes = 0;
     bool responded = false;
+    // Armed on the fabric's deadline queue while the op awaits its answer.
+    sim::Deadline deadline{
+        [](void* s) {
+          static_cast<OpState*>(s)->Finish(TimedOut("op deadline"));
+        },
+        this};
     void Finish(Status s) {
       if (!done.is_set()) {
         result = std::move(s);
@@ -441,11 +446,10 @@ class RdmaClient {
 
   template <typename T>
   sim::Task<Result<T>> Complete(std::shared_ptr<OpState<T>> state) {
-    // Timeout guard: fires only if neither response nor drop arrived.
-    fabric_->simulator()->Schedule(kOpTimeout, [state] {
-      state->Finish(TimedOut("op deadline"));
-    });
+    // Deadline guard: expires only if neither response nor drop arrived.
+    fabric_->deadlines().Arm(&state->deadline);
     co_await state->done.Wait();
+    state->deadline.Cancel();
     co_await CompletionGate();
     if (state->responded) {
       tally_.round_trips++;

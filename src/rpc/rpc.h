@@ -137,7 +137,8 @@ class RpcClient {
 
   net::HostId host() const { return self_; }
 
-  static constexpr sim::Duration kRpcTimeout = sim::Millis(5);
+  // Alias of the fabric-wide op deadline (net::Fabric::kOpTimeout).
+  static constexpr sim::Duration kRpcTimeout = net::Fabric::kOpTimeout;
 
   // Protocol-complexity tally across every Call issued by this client
   // (see src/obs/complexity.h for the counting rules).
@@ -204,10 +205,10 @@ class RpcClient {
           });
         },
         [state] { state->Finish(Unavailable("host down")); });
-    fabric_->simulator()->Schedule(kRpcTimeout, [state] {
-      state->Finish(TimedOut("rpc deadline"));
-    });
+    // Deadline guard: expires only if neither response nor drop arrived.
+    fabric_->deadlines().Arm(&state->deadline);
     co_await state->done.Wait();
+    state->deadline.Cancel();
     if (batcher_ != nullptr) {
       co_await batcher_->Complete(&tally_);
     } else {
@@ -237,6 +238,12 @@ class RpcClient {
     obs::OpTimeline* op = nullptr;  // phase timeline (null when untimed)
     size_t resp_bytes = 0;
     bool responded = false;
+    // Armed on the fabric's deadline queue while the call awaits its answer.
+    sim::Deadline deadline{
+        [](void* s) {
+          static_cast<CallState*>(s)->Finish(TimedOut("rpc deadline"));
+        },
+        this};
     void Finish(Status s) {
       if (!done.is_set()) {
         error = std::move(s);

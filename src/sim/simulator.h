@@ -16,7 +16,7 @@
 //    through a FIFO ring lane: O(1) push/pop, no comparisons.
 //  * Timed events go into a calendar queue: a 1024-slot timing wheel of
 //    256 ns slots (~262 µs horizon) with a binary-heap overflow bucket for
-//    far-future timers (RPC deadlines, retransmit timeouts). Schedule and
+//    far-future timers (the fabric's op-deadline timer). Schedule and
 //    pop are O(1) amortized; a slot is sorted once when the wheel reaches
 //    it. Overflow timers migrate into the wheel as the horizon advances.
 //  * Ordering keys (when, seq) travel in 24-byte EventRef entries separate
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/sim/frame_cache.h"
 #include "src/sim/time.h"
 
 namespace prism::sim {
@@ -210,7 +211,9 @@ class Simulator {
     uint64_t pool_blocks = 0;        // event-record slabs allocated
   };
 
-  Simulator() = default;
+  // Each live Simulator keeps its thread's coroutine-frame cache enabled;
+  // the last one to go drains it (frame_cache.h).
+  Simulator() { internal::FrameCache::OnSimulatorCreated(); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -228,6 +231,7 @@ class Simulator {
       }
     }
     for (const internal::EventRef& e : overflow_) DisposeOnly(e);
+    internal::FrameCache::OnSimulatorDestroyed();
   }
 
   TimePoint Now() const { return now_; }

@@ -50,14 +50,16 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/sim/frame_cache.h"
 #include "src/sim/simulator.h"
 
 namespace prism::sim {
 
 namespace internal {
 
-// Shared continuation plumbing for Task<T> promises.
-struct PromiseBase {
+// Shared continuation plumbing for Task<T> promises. Frames come from the
+// per-thread FrameCache (frame_cache.h).
+struct PromiseBase : CachedFrame {
   std::coroutine_handle<> continuation;
 
   struct FinalAwaiter {
@@ -192,7 +194,7 @@ namespace internal {
 // Fire-and-forget driver coroutine: starts immediately, self-destroys at
 // final_suspend (suspend_never), and owns the driven Task in its frame.
 struct Detached {
-  struct promise_type {
+  struct promise_type : CachedFrame {
     Detached get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

@@ -577,8 +577,10 @@ TEST(RealStackTest, NoViolationsUnderBoundedReordering) {
 // ---------- end-to-end: sync suite reproducer round trip ----------
 
 // The defaults tools/explore_main resolves for the sync workloads
-// (DefaultRuns/DefaultDelta); seeds 3, 11 and 20 of sync_buggy violate
-// linearizability under them and shrink to <= 5 perturbations.
+// (DefaultRuns/DefaultDelta). Of sync_buggy's first 300 seeds, 10 violate
+// linearizability under them (29, 70, 99, 118, 121, 221, 224, 245, 270,
+// 278); seed 70 is the first that shrinks to <= 5 perturbations (seed 29
+// needs 7).
 ExploreOptions SyncExploreOptions() {
   ExploreOptions opts;
   opts.runs = DefaultRuns(Workload::kSyncBuggy);
@@ -592,7 +594,7 @@ ExploreOptions SyncExploreOptions() {
 
 TEST(SyncReproducerTest, ShrunkBuggyReproTextRoundTripsAndReplays) {
   const SeedReport rep =
-      ExploreSeed(Workload::kSyncBuggy, /*seed=*/3, SyncExploreOptions());
+      ExploreSeed(Workload::kSyncBuggy, /*seed=*/70, SyncExploreOptions());
   ASSERT_GT(rep.failures, 0) << "positive control missed the torn read";
   ASSERT_TRUE(rep.repro.has_value());
   EXPECT_GE(rep.repro->perturbations.size(), 1u);
@@ -629,7 +631,7 @@ TEST(SyncReproducerTest, BuggySweepIsDeterministicAcrossJobCounts) {
   // Same shrunk artifacts regardless of sweep fan-out: the bytes a user
   // saves with --repro-out are independent of --jobs.
   std::vector<uint64_t> seeds;
-  for (uint64_t s = 1; s <= 12; ++s) seeds.push_back(s);
+  for (uint64_t s = 221; s <= 232; ++s) seeds.push_back(s);
   const SweepReport serial =
       ExploreSweep(Workload::kSyncBuggy, seeds, SyncExploreOptions(),
                    /*jobs=*/1);
@@ -639,7 +641,7 @@ TEST(SyncReproducerTest, BuggySweepIsDeterministicAcrossJobCounts) {
   ASSERT_EQ(serial.reports.size(), parallel.reports.size());
   EXPECT_EQ(serial.total_runs, parallel.total_runs);
   EXPECT_EQ(serial.failing_seeds, parallel.failing_seeds);
-  EXPECT_GT(serial.failing_seeds, 0) << "expected seeds 3 and 11 to violate";
+  EXPECT_GT(serial.failing_seeds, 0) << "expected seeds 221 and 224 to violate";
   for (size_t i = 0; i < serial.reports.size(); ++i) {
     const SeedReport& a = serial.reports[i];
     const SeedReport& b = parallel.reports[i];

@@ -208,6 +208,32 @@ TEST_F(PrismServiceTest, DownServerYieldsUnavailable) {
   EXPECT_TRUE(checked);
 }
 
+TEST_F(PrismServiceTest, ServerCrashMidChainTimesOutInsteadOfHanging) {
+  // The server crashes and restarts while the chain request is on the
+  // wire: the frame is purged with the old incarnation, no response ever
+  // arrives, and the chain must resolve kTimedOut at the fabric deadline
+  // instead of hanging.
+  bool checked = false;
+  sim::Spawn([&]() -> Task<void> {
+    const sim::TimePoint start = sim_.Now();
+    auto r = co_await client_.ExecuteOne(
+        &sw_, Op::Read(region_.rkey, region_.base, 8));
+    EXPECT_EQ(r.code(), Code::kTimedOut);
+    EXPECT_GE(sim_.Now() - start, net::Fabric::kOpTimeout);
+    EXPECT_LT(sim_.Now() - start, net::Fabric::kOpTimeout + sim::Millis(1));
+    checked = true;
+  });
+  // After the 350 ns client post, before the ~0.6 µs delivery.
+  sim_.Schedule(sim::Nanos(450), [&] {
+    fabric_.SetHostUp(server_host_, false);
+    fabric_.SetHostUp(server_host_, true);
+  });
+  sim_.Run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(fabric_.purged_messages(), 1u);
+  EXPECT_EQ(sw_.chains_executed(), 0u);
+}
+
 TEST_F(PrismServiceTest, ConcurrentCasGtIsMonotonicAndAtomic) {
   // 32 clients concurrently install distinct versions with CAS_GT (the
   // PRISM-RS/TX pattern). Whatever the interleaving, the slot's value can

@@ -2,6 +2,7 @@
 // queues — the machinery §4.2 says PRISM's ALLOCATE reuses.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -135,6 +136,62 @@ TEST_F(QpTest, DownPeerIsUnavailable) {
     EXPECT_EQ(s.code(), Code::kUnavailable);
   });
   sim_.Run();
+}
+
+TEST_F(QpTest, CrashMidSendTimesOutInsteadOfHanging) {
+  // The receiver crashes and restarts while the SEND is on the wire: the
+  // frame is purged with the old incarnation, so neither the delivery nor
+  // the drop callback fires, and the fabric deadline must end the send.
+  PostServerBuffers(1);
+  bool checked = false;
+  sim::Spawn([&]() -> Task<void> {
+    const sim::TimePoint start = sim_.Now();
+    Status s = co_await client_qp_.Send(BytesOfString("lost"));
+    EXPECT_EQ(s.code(), Code::kTimedOut);
+    EXPECT_GE(sim_.Now() - start, net::Fabric::kOpTimeout);
+    EXPECT_LT(sim_.Now() - start, net::Fabric::kOpTimeout + sim::Millis(1));
+    checked = true;
+  });
+  // After the 350 ns client post, before the ~1 µs delivery.
+  sim_.Schedule(sim::Nanos(500), [&] {
+    fabric_.SetHostUp(server_host_, false);
+    fabric_.SetHostUp(server_host_, true);
+  });
+  sim_.Run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(fabric_.purged_messages(), 1u);
+  EXPECT_EQ(server_rq_.posted(), 1u);  // nothing landed
+}
+
+TEST_F(QpTest, PeerDownBeforeAckTimesOutInsteadOfHanging) {
+  // The receiver lands the message, then goes down before its ack leaves:
+  // the ack is dropped at the source with no drop callback, so only the
+  // fabric deadline ends the send. The message itself did land.
+  PostServerBuffers(1);
+  bool checked = false;
+  sim::Spawn([&]() -> Task<void> {
+    const sim::TimePoint start = sim_.Now();
+    Status s = co_await client_qp_.Send(BytesOfString("unacked"));
+    EXPECT_EQ(s.code(), Code::kTimedOut);
+    EXPECT_GE(sim_.Now() - start, net::Fabric::kOpTimeout);
+    EXPECT_LT(sim_.Now() - start, net::Fabric::kOpTimeout + sim::Millis(1));
+    checked = true;
+  });
+  // Delivery consumes the posted buffer; the ack follows nic_process +
+  // pcie_write (1 µs) later. Take the receiver down within 10 ns of the
+  // delivery, inside that window.
+  std::function<void()> watch = [&] {
+    if (server_rq_.posted() == 0) {
+      fabric_.SetHostUp(server_host_, false);
+    } else {
+      sim_.Schedule(sim::Nanos(10), watch);
+    }
+  };
+  sim_.Schedule(0, watch);
+  sim_.Run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(server_qp_.pending_completions(), 1u);
+  EXPECT_EQ(fabric_.dropped_messages(), 1u);  // the ack
 }
 
 TEST(SrqTest, MultipleQpsShareOneReceiveQueue) {

@@ -4,15 +4,21 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/sim/deadline.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 
-// Global allocation counter used by ZeroDelayFastPathAllocatesNothing. The
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
+// Global allocation counter used by the *AllocatesNothing tests. The
 // default operator new[] forwards here, so scalar overrides cover both forms.
 namespace {
 uint64_t g_new_calls = 0;
@@ -598,6 +604,244 @@ TEST(SleepTest, ZeroSleepYields) {
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
+
+// ---------- deadline queue ----------
+
+constexpr Duration kTimeout = Millis(5);
+
+// An op state that records when (and whether) its deadline expired.
+struct Guarded {
+  Guarded(Simulator* sim, std::vector<std::string>* log, std::string name)
+      : sim(sim), log(log), name(std::move(name)) {}
+  Simulator* sim;
+  std::vector<std::string>* log;
+  std::string name;
+  TimePoint expired_at = -1;
+  Deadline deadline{
+      [](void* s) {
+        auto* g = static_cast<Guarded*>(s);
+        g->expired_at = g->sim->Now();
+        g->log->push_back(g->name);
+      },
+      this};
+};
+
+TEST(DeadlineQueueTest, ExpiryFiresAtExactlyArmPlusTimeout) {
+  Simulator sim;
+  DeadlineQueue q(&sim, kTimeout);
+  std::vector<std::string> log;
+  Guarded a(&sim, &log, "a");
+  sim.Schedule(Micros(7), [&] { q.Arm(&a.deadline); });
+  sim.Schedule(Micros(7) + kTimeout - 1, [&] { EXPECT_TRUE(log.empty()); });
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a"}));
+  EXPECT_EQ(a.expired_at, Micros(7) + kTimeout);
+  EXPECT_FALSE(a.deadline.armed());
+  EXPECT_EQ(sim.Now(), Micros(7) + kTimeout);
+}
+
+TEST(DeadlineQueueTest, SameTickExpiriesRunInArmOrder) {
+  Simulator sim;
+  DeadlineQueue q(&sim, kTimeout);
+  std::vector<std::string> log;
+  Guarded a(&sim, &log, "a"), b(&sim, &log, "b"), c(&sim, &log, "c"),
+      d(&sim, &log, "d");
+  sim.Schedule(Micros(1), [&] {
+    q.Arm(&c.deadline);
+    q.Arm(&a.deadline);
+    q.Arm(&d.deadline);
+  });
+  sim.Schedule(Micros(2), [&] { q.Arm(&b.deadline); });
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"c", "a", "d", "b"}));
+  EXPECT_EQ(a.expired_at, Micros(1) + kTimeout);
+  EXPECT_EQ(b.expired_at, Micros(2) + kTimeout);
+}
+
+TEST(DeadlineQueueTest, InOrderAndOutOfOrderCancelsSuppressExpiry) {
+  Simulator sim;
+  DeadlineQueue q(&sim, kTimeout);
+  std::vector<std::string> log;
+  Guarded a(&sim, &log, "a"), b(&sim, &log, "b"), c(&sim, &log, "c"),
+      d(&sim, &log, "d"), e(&sim, &log, "e");
+  for (Guarded* g : {&a, &b, &c, &d, &e}) q.Arm(&g->deadline);
+  EXPECT_EQ(q.armed(), 5u);
+  b.deadline.Cancel();  // out of order: from the middle
+  d.deadline.Cancel();
+  a.deadline.Cancel();  // in order: the head
+  EXPECT_EQ(q.armed(), 2u);
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"c", "e"}));
+  EXPECT_EQ(q.armed(), 0u);
+}
+
+TEST(DeadlineQueueTest, CancelAfterExpiryIsANoOp) {
+  Simulator sim;
+  DeadlineQueue q(&sim, kTimeout);
+  std::vector<std::string> log;
+  Guarded a(&sim, &log, "a"), b(&sim, &log, "b");
+  q.Arm(&a.deadline);
+  sim.RunFor(kTimeout);
+  EXPECT_EQ(log, (std::vector<std::string>{"a"}));
+  a.deadline.Cancel();
+  a.deadline.Cancel();
+  // The queue still works: a fresh arm expires one timeout later.
+  q.Arm(&b.deadline);
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(b.expired_at, 2 * kTimeout);
+  EXPECT_EQ(q.armed(), 0u);
+}
+
+TEST(DeadlineQueueTest, DestroyedDeadlineNeverExpires) {
+  Simulator sim;
+  DeadlineQueue q(&sim, kTimeout);
+  std::vector<std::string> log;
+  {
+    Guarded a(&sim, &log, "a");
+    q.Arm(&a.deadline);
+  }
+  Guarded b(&sim, &log, "b");
+  q.Arm(&b.deadline);
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"b"}));
+}
+
+TEST(DeadlineQueueTest, ThousandArmCancelPairsLeaveAtMostOneEnginePending) {
+  Simulator sim;
+  DeadlineQueue q(&sim, kTimeout);
+  std::vector<std::string> log;
+  Guarded g(&sim, &log, "g");
+  for (int i = 0; i < 1000; ++i) {
+    q.Arm(&g.deadline);
+    g.deadline.Cancel();
+    EXPECT_LE(sim.pending_events(), 1u);
+    sim.RunFor(Nanos(100));
+  }
+  EXPECT_LE(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_TRUE(log.empty());
+  // One timer event in all, where per-op timers would have fired 1000.
+  EXPECT_EQ(sim.executed_events(), 1u);
+}
+
+// A client op in miniature: the state carries the deadline, a "response"
+// event resolves it, and the op cancels the deadline once done.
+struct MiniOp {
+  explicit MiniOp(Simulator* sim) : done(sim) {}
+  Event done;
+  bool timed_out = false;
+  Deadline deadline{
+      [](void* s) {
+        auto* op = static_cast<MiniOp*>(s);
+        op->timed_out = true;
+        op->done.Set();
+      },
+      this};
+};
+
+Task<void> RunMiniOp(Simulator* sim, DeadlineQueue* q,
+                     std::weak_ptr<MiniOp>* seen, bool* returned) {
+  auto state = std::make_shared<MiniOp>(sim);
+  *seen = state;
+  q->Arm(&state->deadline);
+  sim->Schedule(Micros(3), [state] { state->done.Set(); });
+  co_await state->done.Wait();
+  state->deadline.Cancel();
+  EXPECT_FALSE(state->timed_out);
+  *returned = true;
+}
+
+TEST(DeadlineQueueTest, OpStateIsFreedWhenTheOpReturns) {
+  Simulator sim;
+  DeadlineQueue q(&sim, kTimeout);
+  std::weak_ptr<MiniOp> seen;
+  bool returned = false;
+  Spawn(RunMiniOp(&sim, &q, &seen, &returned));
+  sim.RunFor(Micros(10));
+  ASSERT_TRUE(returned);
+  // The queue's timer is still pending, yet it holds no reference.
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_TRUE(seen.expired());
+  sim.Run();
+}
+
+// ---------- coroutine frame cache ----------
+
+Task<int> Leaf(int v) { co_return v + 1; }
+
+Task<int> Middle(ServiceQueue* q, int v) {
+  const int a = co_await Leaf(v);
+  co_await q->Use(Nanos(100));
+  const int b = co_await Leaf(a);
+  co_return b;
+}
+
+Task<void> NestedLoop(ServiceQueue* q, int iterations, int* sum) {
+  for (int i = 0; i < iterations; ++i) {
+    const int r = co_await Middle(q, i);
+    *sum += r;
+  }
+}
+
+TEST(FrameCacheTest, WarmedNestedTaskLoopAllocatesNothing) {
+  Simulator sim;
+  ServiceQueue q(&sim, /*servers=*/1);
+  int sum = 0;
+  // Warm-up spans more than the wheel horizon (~262 µs), so every wheel
+  // slot and every frame size class has been touched once.
+  Spawn(NestedLoop(&q, 4000, &sum));
+  sim.Run();
+  const uint64_t allocs_before = g_new_calls;
+  Spawn(NestedLoop(&q, 1000, &sum));
+  sim.Run();
+  EXPECT_EQ(g_new_calls - allocs_before, 0u);
+  EXPECT_EQ(sum, 4000 * 2 + 3999 * 4000 / 2 + 1000 * 2 + 999 * 1000 / 2);
+}
+
+uint64_t AllocationsOfOneSimulation() {
+  const uint64_t before = g_new_calls;
+  {
+    Simulator sim;
+    ServiceQueue q(&sim, /*servers=*/2);
+    int sum = 0;
+    for (int i = 0; i < 8; ++i) Spawn(NestedLoop(&q, 50, &sum));
+    sim.Run();
+  }
+  return g_new_calls - before;
+}
+
+TEST(FrameCacheTest, BackToBackSimulationsAllocateTheSameCount) {
+  // The last Simulator on the thread drains the cache, so the second run
+  // starts as cold as the first instead of reusing its frames.
+  const uint64_t first = AllocationsOfOneSimulation();
+  const uint64_t second = AllocationsOfOneSimulation();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(first, second);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Records the address of the awaiting coroutine's own frame.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h.address();
+    return false;  // resume at once
+  }
+  void await_resume() const noexcept {}
+};
+
+Task<void> RecordFrame(void** out) { co_await FrameAddress{out}; }
+
+TEST(FrameCacheTest, DestroyedFrameIsPoisonedWhileCached) {
+  Simulator sim;  // caching is on while a Simulator lives
+  void* frame = nullptr;
+  Spawn(RecordFrame(&frame));  // runs to completion; the frame is freed
+  ASSERT_NE(frame, nullptr);
+  EXPECT_TRUE(__asan_address_is_poisoned(frame));
+}
+#endif
 
 }  // namespace
 }  // namespace prism::sim
