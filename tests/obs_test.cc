@@ -342,6 +342,119 @@ TEST(ObsEndToEndTest, CountingRulesByBackendAndDeployment) {
   EXPECT_EQ(pt.cpu_actions, 1u);  // only the software deployment
 }
 
+// The counting rules on the failure paths: an op whose server is down (the
+// request is dropped, kUnavailable) or whose answer never comes back (the
+// deadline fires, kTimedOut) still posted its request and drained its CQ,
+// so messages, bytes_out, doorbells, cq_polls and cpu_actions count; with
+// no response there is no round trip and no bytes_in. Same rule for a
+// software-stack verb, a software PRISM chain and an RPC call.
+TEST(ObsEndToEndTest, FailurePathCountingRules) {
+  enum class Failure { kHostDown, kDeadline };
+  for (Failure failure : {Failure::kHostDown, Failure::kDeadline}) {
+    SCOPED_TRACE(failure == Failure::kHostDown ? "host down" : "deadline");
+    sim::Simulator sim;
+    net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
+    net::HostId server_host = fabric.AddHost("server");
+    net::HostId client_host = fabric.AddHost("client");
+    rdma::AddressSpace mem(1 << 20);
+    auto region = *mem.CarveAndRegister(1 << 16, rdma::kRemoteAll);
+    rdma::RdmaService sw(&fabric, server_host, rdma::Backend::kSoftwareStack,
+                         &mem);
+    core::PrismServer psw(&fabric, server_host, core::Deployment::kSoftware,
+                          &mem);
+    rpc::RpcServer server(&fabric, server_host);
+    server.Register(1, [](const rpc::Message&) -> Task<rpc::MessagePtr> {
+      co_return rpc::Message::Empty(64);
+    });
+    rdma::RdmaClient rc(&fabric, client_host);
+    core::PrismClient pc(&fabric, client_host);
+    rpc::RpcClient cc(&fabric, client_host);
+    const Code want = failure == Failure::kHostDown ? Code::kUnavailable
+                                                    : Code::kTimedOut;
+    if (failure == Failure::kHostDown) {
+      fabric.SetHostUp(server_host, false);
+    } else {
+      // Requests get through and are served; every answer is lost.
+      fabric.SetLinkBlocked(server_host, client_host, true);
+    }
+    int finished = 0;
+    sim::Spawn([&]() -> Task<void> {
+      auto r = co_await rc.Read(&sw, region.rkey, region.base, 64);
+      EXPECT_EQ(r.code(), want);
+      auto c = co_await pc.ExecuteOne(
+          &psw, core::Op::Read(region.rkey, region.base, 64));
+      EXPECT_EQ(c.code(), want);
+      rpc::MessagePtr msg = rpc::Message::Empty(32);
+      auto m = co_await cc.Call(&server, 1, msg);
+      EXPECT_EQ(m.code(), want);
+      finished++;
+    });
+    sim.Run();
+    ASSERT_EQ(finished, 1);
+
+    for (const TransportTally& t : {rc.tally(), pc.tally(), cc.tally()}) {
+      EXPECT_EQ(t.messages, 1u);
+      EXPECT_GT(t.bytes_out, 0u);
+      EXPECT_EQ(t.doorbells, 1u);
+      EXPECT_EQ(t.cq_polls, 1u);
+      EXPECT_EQ(t.cpu_actions, 1u);
+      EXPECT_EQ(t.round_trips, 0u);
+      EXPECT_EQ(t.bytes_in, 0u);
+    }
+    EXPECT_EQ(rc.tally().bytes_out, 16u);
+    EXPECT_EQ(cc.tally().bytes_out, 32u);
+  }
+}
+
+// Every closure a client hands to Fabric::Send fits the simulator's inline
+// event storage, so one pass over each verb, a chain and an RPC call puts
+// no callable on the heap.
+TEST(ObsEndToEndTest, TransportClosuresStayInline) {
+  sim::Simulator sim;
+  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
+  net::HostId server_host = fabric.AddHost("server");
+  net::HostId client_host = fabric.AddHost("client");
+  rdma::AddressSpace mem(1 << 20);
+  auto region = *mem.CarveAndRegister(1 << 16, rdma::kRemoteAll);
+  rdma::RdmaService hw(&fabric, server_host, rdma::Backend::kHardwareNic,
+                       &mem);
+  core::PrismServer psw(&fabric, server_host, core::Deployment::kSoftware,
+                        &mem);
+  rpc::RpcServer server(&fabric, server_host);
+  server.Register(1, [](const rpc::Message&) -> Task<rpc::MessagePtr> {
+    co_return rpc::Message::Of(PingReq{2}, 64);
+  });
+  rdma::RdmaClient rc(&fabric, client_host);
+  core::PrismClient pc(&fabric, client_host);
+  rpc::RpcClient cc(&fabric, client_host);
+  int ok = 0;
+  sim::Spawn([&]() -> Task<void> {
+    const rdma::Addr a = region.base;
+    auto r = co_await rc.Read(&hw, region.rkey, a, 64);
+    ok += r.ok();
+    Status w = co_await rc.Write(&hw, region.rkey, a, Bytes(64, 0x5a));
+    ok += w.ok();
+    auto cas = co_await rc.CompareSwap(&hw, region.rkey, a + 64, 0, 1);
+    ok += cas.ok();
+    auto faa = co_await rc.FetchAdd(&hw, region.rkey, a + 64, 1);
+    ok += faa.ok();
+    Bytes data(8, 0x01);
+    Bytes mask(8, 0xff);
+    auto mcas = co_await rc.MaskedCompareSwap(&hw, region.rkey, a + 128,
+                                              data, mask, mask);
+    ok += mcas.ok();
+    auto chain = co_await pc.ExecuteOne(
+        &psw, core::Op::Read(region.rkey, a, 64));
+    ok += chain.ok();
+    rpc::MessagePtr msg = rpc::Message::Of(PingReq{1}, 32);
+    auto call = co_await cc.Call(&server, 1, msg);
+    ok += call.ok();
+  });
+  sim.Run();
+  EXPECT_EQ(ok, 7);
+  EXPECT_EQ(sim.stats().heap_callables, 0u);
+}
+
 // The fabric hub registers component metrics: after a traced RPC exchange
 // the snapshot carries net totals, per-host counters and sim stats.
 TEST(ObsEndToEndTest, FabricSnapshotCarriesCrossLayerMetrics) {

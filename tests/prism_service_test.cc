@@ -234,6 +234,28 @@ TEST_F(PrismServiceTest, ServerCrashMidChainTimesOutInsteadOfHanging) {
   EXPECT_EQ(sw_.chains_executed(), 0u);
 }
 
+TEST_F(PrismServiceTest, LateAnswerDoesNotOverwriteDeadlineError) {
+  // The projected-hardware server finishes the chain 300 µs after the
+  // deadline fires, while the client is still paying its 1 ms completion
+  // cost. The deadline error wins: the chain fails and no round trip is
+  // counted.
+  fabric_.mutable_cost().completion = sim::Millis(1);
+  fabric_.mutable_cost().nic_process =
+      net::Fabric::kOpTimeout + sim::Micros(300);
+  bool checked = false;
+  sim::Spawn([&]() -> Task<void> {
+    auto r = co_await client_.ExecuteOne(
+        &hw_, Op::Read(region_.rkey, region_.base, 8));
+    EXPECT_EQ(r.code(), Code::kTimedOut);
+    checked = true;
+  });
+  sim_.Run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(hw_.chains_executed(), 1u);
+  EXPECT_EQ(client_.tally().round_trips, 0u);
+  EXPECT_EQ(client_.tally().bytes_in, 0u);
+}
+
 TEST_F(PrismServiceTest, ConcurrentCasGtIsMonotonicAndAtomic) {
   // 32 clients concurrently install distinct versions with CAS_GT (the
   // PRISM-RS/TX pattern). Whatever the interleaving, the slot's value can

@@ -387,8 +387,8 @@ TEST_F(RdmaFabricTest, ServerCrashMidOpTimesOutInsteadOfHanging) {
     auto r =
         co_await client_.Read(&hw_service_, region_.rkey, region_.base, 64);
     EXPECT_EQ(r.code(), Code::kTimedOut);
-    EXPECT_GE(sim_.Now() - start, RdmaClient::kOpTimeout);
-    EXPECT_LT(sim_.Now() - start, RdmaClient::kOpTimeout + sim::Millis(1));
+    EXPECT_GE(sim_.Now() - start, net::Fabric::kOpTimeout);
+    EXPECT_LT(sim_.Now() - start, net::Fabric::kOpTimeout + sim::Millis(1));
     checked = true;
   });
   sim_.Schedule(sim::Nanos(500), [&] {  // post done, delivery pending
@@ -398,6 +398,28 @@ TEST_F(RdmaFabricTest, ServerCrashMidOpTimesOutInsteadOfHanging) {
   sim_.Run();
   EXPECT_TRUE(checked);
   EXPECT_EQ(fabric_.purged_messages(), 1u);
+}
+
+TEST_F(RdmaFabricTest, LateAnswerDoesNotOverwriteDeadlineError) {
+  // The server answers 300 µs after the deadline fires, while the client is
+  // still paying its 1 ms completion cost for the timed-out READ. The
+  // deadline error wins: the op fails and no round trip is counted.
+  fabric_.mutable_cost().completion = sim::Millis(1);
+  fabric_.mutable_cost().nic_process =
+      net::Fabric::kOpTimeout + sim::Micros(300);
+  mem_.Store(region_.base, Bytes(64, 0xaa));
+  bool checked = false;
+  sim::Spawn([&]() -> Task<void> {
+    auto r =
+        co_await client_.Read(&hw_service_, region_.rkey, region_.base, 64);
+    EXPECT_EQ(r.code(), Code::kTimedOut);
+    checked = true;
+  });
+  sim_.Run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(hw_service_.ops_executed(), 1u);
+  EXPECT_EQ(client_.tally().round_trips, 0u);
+  EXPECT_EQ(client_.tally().bytes_in, 0u);
 }
 
 TEST_F(RdmaFabricTest, ServerEgressSaturatesUnderLoad) {
