@@ -70,32 +70,6 @@ inline std::vector<net::HostId> AddClientHosts(net::Fabric& fabric) {
   return hosts;
 }
 
-// Runs `n_clients` closed-loop clients, each repeatedly invoking
-// `one_op(client_index, recorder)` until the measurement window closes.
-// `one_op` must record its own completion. Returns the LoadPoint row.
-//
-// The factory is invoked once per client on the *simulation* side; clients
-// self-terminate when Now() passes the window end.
-using ClientLoop =
-    std::function<sim::Task<void>(int client_index, workload::Recorder*)>;
-
-inline workload::LoadPoint RunClosedLoop(sim::Simulator& sim,
-                                         int n_clients,
-                                         const BenchWindows& windows,
-                                         const ClientLoop& loop) {
-  const sim::TimePoint start = sim.Now() + windows.warmup;
-  const sim::TimePoint end = start + windows.measure;
-  auto recorder = std::make_unique<workload::Recorder>(&sim, start, end);
-  sim::TaskTracker tracker;
-  for (int c = 0; c < n_clients; ++c) {
-    sim::Spawn(loop(c, recorder.get()), &tracker);
-  }
-  sim.RunUntil(end + sim::Millis(20));  // drain tail + reclamation traffic
-  sim.Run();
-  PRISM_CHECK_EQ(tracker.live(), 0);
-  return workload::MakeLoadPoint(n_clients, *recorder);
-}
-
 // Observability flags shared by every figure driver (and the chaos
 // harness): --trace=PATH attaches a span tracer to one sweep cell and
 // writes Chrome trace-event JSON there; --metrics dumps a per-point

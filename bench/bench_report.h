@@ -25,11 +25,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -467,6 +469,42 @@ class ObsRig {
   std::vector<obs::PointObs> slots_;
   std::deque<obs::TimelineStore> stores_;  // one per cell when tracing
 };
+
+// Table printing used by every figure driver (one figure per binary; the
+// rows are the series the paper plots).
+inline void PrintHeader(const std::string& title,
+                        const std::string& extra = "") {
+  std::printf("\n== %s ==\n", title.c_str());
+  std::printf("%-28s %8s %12s %10s %10s %10s %10s%s\n", "system", "clients",
+              "tput(Mops)", "mean(us)", "p50(us)", "p99(us)", "p999(us)",
+              extra.empty() ? "" : ("  " + extra).c_str());
+}
+
+inline void PrintRow(const std::string& system, const workload::LoadPoint& p,
+                     const std::string& extra = "") {
+  std::printf("%-28s %8d %12.3f %10.2f %10.2f %10.2f %10.2f%s\n",
+              system.c_str(), p.clients, p.tput_mops, p.mean_us, p.p50_us,
+              p.p99_us, p.p999_us,
+              extra.empty() ? "" : ("  " + extra).c_str());
+}
+
+// The complexity row of op class `op` in a point, or nullptr.
+inline const obs::OpStats* FindOp(const workload::LoadPoint& p,
+                                  std::string_view op) {
+  for (const obs::OpStats& os : p.ops) {
+    if (os.op == op) return &os;
+  }
+  return nullptr;
+}
+
+// Round trips per op of class `op`, which the point must have executed.
+inline double RtPerOp(const workload::LoadPoint& p, std::string_view op) {
+  const obs::OpStats* os = FindOp(p, op);
+  PRISM_CHECK(os != nullptr && os->count > 0)
+      << "no complexity row for " << op;
+  return static_cast<double>(os->totals.round_trips) /
+         static_cast<double>(os->count);
+}
 
 // Fans the cells out through the sweep runner, records every row (in cell
 // order) plus the sweep's wall-clock into `reporter`, and returns the rows

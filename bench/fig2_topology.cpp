@@ -15,6 +15,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
+#include "bench/stacks.h"
 #include "src/harness/sweep.h"
 #include "src/obs/timeline.h"
 #include "src/prism/service.h"
@@ -45,9 +46,9 @@ workload::LoadPoint PointOf(double us, const sim::Simulator& sim) {
 
 workload::LoadPoint MeasureRdma2Reads(const net::CostModel& model,
                                       obs::PointObs* pobs) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, model);
-  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
+  bench::PointRig rig(pobs, model);
+  sim::Simulator& sim = rig.sim;
+  net::Fabric& fabric = rig.fabric;
   net::HostId server = fabric.AddHost("server");
   net::HostId client_host = fabric.AddHost("client");
   rdma::AddressSpace mem(1 << 21);
@@ -86,21 +87,15 @@ workload::LoadPoint MeasureRdma2Reads(const net::CostModel& model,
     us = ToMicros(sim.Now() - start);
   });
   sim.Run();
-  workload::LoadPoint pt = PointOf(us, sim);
-  pt.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return pt;
+  return rig.Finish(PointOf(us, sim));
 }
 
 workload::LoadPoint MeasurePrismIndirect(const net::CostModel& model,
                                          Deployment deployment,
                                          obs::PointObs* pobs) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, model);
-  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
+  bench::PointRig rig(pobs, model);
+  sim::Simulator& sim = rig.sim;
+  net::Fabric& fabric = rig.fabric;
   net::HostId server_host = fabric.AddHost("server");
   net::HostId client_host = fabric.AddHost("client");
   rdma::AddressSpace mem(1 << 21);
@@ -135,13 +130,7 @@ workload::LoadPoint MeasurePrismIndirect(const net::CostModel& model,
     us = ToMicros(sim.Now() - start);
   });
   sim.Run();
-  workload::LoadPoint pt = PointOf(us, sim);
-  pt.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return pt;
+  return rig.Finish(PointOf(us, sim));
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
+#include "bench/stacks.h"
 #include "src/common/histogram.h"
 #include "src/consensus/consensus.h"
 #include "src/harness/sweep.h"
@@ -46,13 +47,6 @@ constexpr int kConsReplicas = 3;
 // Entries committed before the failover series starts: one full catch-up
 // batch (kMaxCatchupEntries), so elections adopt a real log suffix.
 constexpr uint64_t kFailoverSeedEntries = 32;
-
-struct PointCfg {
-  double offered_mops = 0.02;
-  uint64_t n_clients = 0;
-  BenchWindows windows;
-  uint64_t seed = 1;
-};
 
 uint64_t DefaultClients() { return FastMode() ? 10'000 : 100'000; }
 
@@ -71,11 +65,11 @@ std::vector<double> FailoverSweepMops() {
 
 // ---- PMP-consensus under open-loop load ----
 
-workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
+workload::LoadPoint RunConsensusPoint(const OpenLoad& cfg,
                                       obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
+  PointRig rig(pobs);
+  sim::Simulator& sim = rig.sim;
+  net::Fabric& fabric = rig.fabric;
   std::vector<net::HostId> hosts;
   for (int r = 0; r < kConsReplicas; ++r) {
     hosts.push_back(fabric.AddHost("cons-r" + std::to_string(r)));
@@ -96,9 +90,7 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
                               workload::ArrivalSpec::Poisson(
                                   cfg.offered_mops * 1e6),
                               cfg.n_clients, Rng(cfg.seed), popts);
-  if (pobs != nullptr && pobs->timelines != nullptr) {
-    pool.set_timelines(pobs->timelines, &fabric.obs(), hosts[0]);
-  }
+  rig.AttachTimelines(pool, hosts[0]);
   pool.AddClass(
       "cons.put", kPutFrac,
       [&](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
@@ -156,161 +148,70 @@ workload::LoadPoint RunConsensusPoint(const PointCfg& cfg,
                              get_session.tally());
   all.Merge(pool.recorder(0).hist());
   all.Merge(pool.recorder(1).hist());
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(pool.n_clients());
-  const auto s = all.Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops =
-      static_cast<double>(pool.measured_arrivals()) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
+  return rig.Finish(MakeOpenLoopPoint(all, pool.n_clients(),
+                                      pool.measured_arrivals(),
+                                      end - measure_start, sim));
 }
 
 // ---- ABD-LOCK baseline under the same load ----
 
-workload::LoadPoint RunAbdPoint(const PointCfg& cfg,
+workload::LoadPoint RunAbdPoint(const OpenLoad& cfg,
                                 obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
+  PointRig rig(pobs);
   rs::AbdLockOptions aopts;
   aopts.n_blocks = kConsKeys;
   aopts.block_size = consensus::kValueSize;  // identical payloads
-  rs::AbdLockCluster cluster(&fabric, kConsReplicas, aopts);
-  auto client_hosts = AddClientHosts(fabric);
-  const size_t n_hosts = client_hosts.size();
-  struct HostRig {
-    std::unique_ptr<rs::AbdLockClient> writer;
-    std::unique_ptr<rs::AbdLockClient> reader;
-    std::unique_ptr<workload::OpenLoopPool> pool;
+  rs::AbdLockCluster cluster(&rig.fabric, kConsReplicas, aopts);
+  // Distinct nonzero lock-owner ids per (host, role) — pool workers share
+  // a client's id, which the lock words treat as a conflict, never as
+  // re-entry.
+  auto client_with_role = [&](int role) {
+    return [&, role](size_t h, net::HostId host) {
+      const uint16_t id = static_cast<uint16_t>(2 * h + role);
+      return std::make_unique<rs::AbdLockClient>(&rig.fabric, host, &cluster,
+                                                 id, cfg.seed * 131 + id);
+    };
   };
-  std::vector<HostRig> rigs(n_hosts);
-  const sim::TimePoint measure_start = sim.Now() + cfg.windows.warmup;
-  const sim::TimePoint end = measure_start + cfg.windows.measure;
-  Rng master(cfg.seed);
-  const double rate_per_host =
-      cfg.offered_mops * 1e6 / static_cast<double>(n_hosts);
-  uint64_t remaining = cfg.n_clients;
-  for (size_t h = 0; h < n_hosts; ++h) {
-    HostRig& rig = rigs[h];
-    // Distinct nonzero lock-owner ids per (host, role) — pool workers share
-    // a client's id, which the lock words treat as a conflict, never as
-    // re-entry.
-    rig.writer = std::make_unique<rs::AbdLockClient>(
-        &fabric, client_hosts[h], &cluster,
-        static_cast<uint16_t>(2 * h + 1), cfg.seed * 131 + 2 * h + 1);
-    rig.reader = std::make_unique<rs::AbdLockClient>(
-        &fabric, client_hosts[h], &cluster,
-        static_cast<uint16_t>(2 * h + 2), cfg.seed * 131 + 2 * h + 2);
-    const uint64_t n_here = remaining / (n_hosts - h);
-    remaining -= n_here;
-    workload::PoolOptions popts;
-    popts.workers = 16;
-    rig.pool = std::make_unique<workload::OpenLoopPool>(
-        &sim, workload::ArrivalSpec::Poisson(rate_per_host), n_here,
-        master.Fork(), popts);
-    if (pobs != nullptr && pobs->timelines != nullptr) {
-      rig.pool->set_timelines(pobs->timelines, &fabric.obs(), client_hosts[h]);
-    }
-    rs::AbdLockClient* wr = rig.writer.get();
-    rs::AbdLockClient* rd = rig.reader.get();
-    // kAborted means max_lock_attempts lost races — uniform keys keep that
-    // rare, but under open-loop bursts it can happen; retry with a fresh
-    // budget so the convoy cost lands in the tail, as in fig_sync.
-    rig.pool->AddClass(
-        "abd.put", kPutFrac,
-        [wr, cfg, &sim](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
-          const uint64_t block = draw % kConsKeys;
-          for (int attempt = 0;; ++attempt) {
-            Status s = co_await wr->Put(
-                block, Bytes(consensus::kValueSize, 0x5A));
-            if (s.ok()) break;
-            PRISM_CHECK(attempt < 100 && s.code() == Code::kAborted)
-                << s << " block=" << block << " offered=" << cfg.offered_mops;
-            obs::SwitchOp(op, obs::Phase::kSyncSpin, sim.Now());
-            co_await sim::SleepFor(&sim, sim::Micros(20));
-            obs::SwitchOp(op, obs::Phase::kApp, sim.Now());
-          }
-        });
-    rig.pool->AddClass(
-        "abd.get", 1.0 - kPutFrac,
-        [rd, cfg, &sim](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
-          const uint64_t block = draw % kConsKeys;
-          for (int attempt = 0;; ++attempt) {
-            auto v = co_await rd->Get(block);
-            if (v.ok()) break;
-            PRISM_CHECK(attempt < 100 && v.status().code() == Code::kAborted)
-                << v.status() << " block=" << block
-                << " offered=" << cfg.offered_mops;
-            obs::SwitchOp(op, obs::Phase::kSyncSpin, sim.Now());
-            co_await sim::SleepFor(&sim, sim::Micros(20));
-            obs::SwitchOp(op, obs::Phase::kApp, sim.Now());
-          }
-        });
-    rig.pool->Start(measure_start, end);
-  }
-  sim.RunUntil(end + sim::Millis(20));
-  sim.Run();
-
-  LatencyHistogram all;
-  for (size_t c = 0; c < 2; ++c) {
-    LatencyHistogram cls_hist;
-    obs::TransportTally tally;
-    uint64_t n_ops = 0;
-    for (HostRig& rig : rigs) {
-      cls_hist.Merge(rig.pool->recorder(c).hist());
-      n_ops += rig.pool->class_completions(c);
-      rs::AbdLockClient* cl = c == 0 ? rig.writer.get() : rig.reader.get();
-      tally += cl->TransportTally();
-    }
-    fabric.obs().ops().RecordN(rigs[0].pool->class_name(c), n_ops, tally);
-    all.Merge(cls_hist);
-  }
-  uint64_t measured_arrivals = 0;
-  uint64_t total_clients = 0;
-  for (HostRig& rig : rigs) {
-    rig.pool->CheckDrained();
-    measured_arrivals += rig.pool->measured_arrivals();
-    total_clients += rig.pool->n_clients();
-  }
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(total_clients);
-  const auto s = all.Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops = static_cast<double>(measured_arrivals) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
+  sim::Simulator* sim = &rig.sim;
+  // kAborted means max_lock_attempts lost races — uniform keys keep that
+  // rare, but under open-loop bursts it can happen; retry with a fresh
+  // budget so the convoy cost lands in the tail, as in fig_sync.
+  auto op_body = [cfg, sim](bool put) {
+    return [cfg, sim, put](rs::AbdLockClient* client, uint64_t draw,
+                           obs::OpTimeline* op) -> sim::Task<void> {
+      const uint64_t block = draw % kConsKeys;
+      for (int attempt = 0;; ++attempt) {
+        Status s;
+        if (put) {
+          s = co_await client->Put(block, Bytes(consensus::kValueSize, 0x5A));
+        } else {
+          auto v = co_await client->Get(block);
+          s = v.status();
+        }
+        if (s.ok()) break;
+        PRISM_CHECK(attempt < 100 && s.code() == Code::kAborted)
+            << s << " block=" << block << " offered=" << cfg.offered_mops;
+        obs::SwitchOp(op, obs::Phase::kSyncSpin, sim->Now());
+        co_await sim::SleepFor(sim, sim::Micros(20));
+        obs::SwitchOp(op, obs::Phase::kApp, sim->Now());
+      }
+    };
+  };
+  OpenLoad load = cfg;
+  load.workers_per_host = 16;
+  return RunOpenLoopPoint<rs::AbdLockClient>(
+      rig, load,
+      {{{"abd.put", kPutFrac, client_with_role(1), op_body(true)},
+        {"abd.get", 1.0 - kPutFrac, client_with_role(2), op_body(false)}}});
 }
 
 // ---- failover latency: leader change as rkey revocation ----
 
-workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
+workload::LoadPoint RunFailoverPoint(const OpenLoad& cfg,
                                      obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
+  PointRig rig(pobs);
+  sim::Simulator& sim = rig.sim;
+  net::Fabric& fabric = rig.fabric;
   std::vector<net::HostId> hosts;
   for (int r = 0; r < kConsReplicas; ++r) {
     hosts.push_back(fabric.AddHost("cons-r" + std::to_string(r)));
@@ -329,9 +230,7 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
                               workload::ArrivalSpec::Poisson(
                                   cfg.offered_mops * 1e6),
                               64, Rng(cfg.seed), popts);
-  if (pobs != nullptr && pobs->timelines != nullptr) {
-    pool.set_timelines(pobs->timelines, &fabric.obs(), hosts[0]);
-  }
+  rig.AttachTimelines(pool, hosts[0]);
   pool.AddClass(
       "cons.failover", 1.0,
       [&](uint64_t draw, obs::OpTimeline* op) -> sim::Task<void> {
@@ -384,41 +283,13 @@ workload::LoadPoint RunFailoverPoint(const PointCfg& cfg,
   }
   fabric.obs().ops().RecordN("cons.failover", n_failovers,
                              control - control_before);
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(pool.n_clients());
-  const auto s = pool.recorder(0).hist().Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops =
-      static_cast<double>(pool.measured_arrivals()) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
-}
-
-double RtPerOp(const workload::LoadPoint& p, const std::string& op) {
-  for (const obs::OpStats& os : p.ops) {
-    if (os.op == op && os.count > 0) {
-      return static_cast<double>(os.totals.round_trips) /
-             static_cast<double>(os.count);
-    }
-  }
-  PRISM_CHECK(false) << "no complexity row for " << op;
-  return 0;
+  return rig.Finish(MakeOpenLoopPoint(pool.recorder(0).hist(),
+                                      pool.n_clients(),
+                                      pool.measured_arrivals(),
+                                      end - measure_start, sim));
 }
 
 int Main(int argc, char** argv) {
-  using workload::PrintHeader;
-  using workload::PrintRow;
   const int jobs = harness::JobsFromArgs(argc, argv);
   const ObsOptions obs_opts = ObsFromArgs(argc, argv);
   const BenchWindows windows = BenchWindows::Default();
@@ -430,21 +301,24 @@ int Main(int argc, char** argv) {
   std::vector<SweepCell> cells;
   size_t slot = 0;
   for (size_t li = 0; li < sweep.size(); ++li) {
-    PointCfg cfg{sweep[li], n_clients, windows, 1000 + li};
+    const OpenLoad cfg{.offered_mops = sweep[li], .n_clients = n_clients,
+                       .windows = windows, .seed = 1000 + li};
     obs::PointObs* po = rig.at(slot++);
     cells.push_back({"PMP-consensus",
                      [cfg, po] { return RunConsensusPoint(cfg, po); },
                      sweep[li]});
   }
   for (size_t li = 0; li < sweep.size(); ++li) {
-    PointCfg cfg{sweep[li], n_clients, windows, 2000 + li};
+    const OpenLoad cfg{.offered_mops = sweep[li], .n_clients = n_clients,
+                       .windows = windows, .seed = 2000 + li};
     obs::PointObs* po = rig.at(slot++);
     cells.push_back({"ABD-LOCK",
                      [cfg, po] { return RunAbdPoint(cfg, po); },
                      sweep[li]});
   }
   for (size_t li = 0; li < fo_sweep.size(); ++li) {
-    PointCfg cfg{fo_sweep[li], 64, windows, 3000 + li};
+    const OpenLoad cfg{.offered_mops = fo_sweep[li], .n_clients = 64,
+                       .windows = windows, .seed = 3000 + li};
     obs::PointObs* po = rig.at(slot++);
     cells.push_back({"failover",
                      [cfg, po] { return RunFailoverPoint(cfg, po); },

@@ -21,15 +21,13 @@
 // client at ≤64 B (plus the 16 B/client state array asserted exactly).
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
-#include "bench/kv_bench_lib.h"
+#include "bench/stacks.h"
 #include "src/harness/sweep.h"
-#include "src/rdma/batch.h"
 #include "src/workload/arrival.h"
 #include "src/workload/open_loop.h"
 
@@ -38,41 +36,16 @@ namespace {
 
 constexpr double kReadFrac = 0.95;
 
-// Resident set size from /proc; 0 where unsupported.
-size_t VmRssBytes() {
-#ifdef __linux__
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  size_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %zu kB", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb * 1024;
-#else
-  return 0;
-#endif
-}
-
 struct OverloadConfig {
   const char* system = "kv";
-  bool batched = false;
-  double offered_mops = 1.0;
-  uint64_t n_clients = 0;
-  workload::ArrivalKind kind = workload::ArrivalKind::kPoisson;
-  BenchWindows windows;
-  uint64_t seed = 1;
-  // Bounded in-flight window per host (a real client library's QP-depth /
-  // credit limit). Past saturation the excess load queues in the client
-  // backlog rather than inside the fabric: by Little's law 32*11 in-flight
-  // ops at the ~8 Mops service plateau spend ~45 µs in flight, so the
-  // multi-hundred-µs post-knee p999 is backlog_wait, which is what the
-  // attribution layer (and tools/latency_report) must show.
-  int workers_per_host = 32;
-  // When set, VmRSS is sampled at the end of the run while the rigs are
-  // still live (the --guard path).
-  size_t* live_rss_out = nullptr;
+  // load.workers_per_host (32) bounds the in-flight window per host (a
+  // real client library's QP-depth / credit limit). Past saturation the
+  // excess load queues in the client backlog rather than inside the
+  // fabric: by Little's law 32*11 in-flight ops at the ~8 Mops service
+  // plateau spend ~45 µs in flight, so the multi-hundred-µs post-knee p999
+  // is backlog_wait, which is what the attribution layer (and
+  // tools/latency_report) must show.
+  OpenLoad load;
 };
 
 uint64_t DefaultClients() { return FastMode() ? 100'000 : 1'000'000; }
@@ -82,219 +55,55 @@ std::vector<double> OfferedSweepMops() {
   return {1, 2, 4, 8, 16, 24};
 }
 
-workload::ArrivalSpec SpecOf(workload::ArrivalKind kind, double ops_per_sec) {
-  switch (kind) {
-    case workload::ArrivalKind::kPoisson:
-      return workload::ArrivalSpec::Poisson(ops_per_sec);
-    case workload::ArrivalKind::kMmpp:
-      return workload::ArrivalSpec::Mmpp(ops_per_sec);
-    case workload::ArrivalKind::kDiurnal:
-      return workload::ArrivalSpec::Diurnal(ops_per_sec);
-  }
-  return workload::ArrivalSpec::Poisson(ops_per_sec);
-}
-
-// Builds per-host pools over `make_client`-created KV clients (one GET and
-// one PUT client per host so per-op-class tallies stay separable), runs the
-// simulation, merges the per-pool histograms losslessly, and files the
-// per-class complexity aggregates with the fabric's accountant.
-template <typename ClientT, typename MakeClient>
-workload::LoadPoint DriveOverload(sim::Simulator& sim, net::Fabric& fabric,
-                                  const OverloadConfig& cfg,
-                                  const MakeClient& make_client,
-                                  obs::PointObs* pobs = nullptr) {
-  const uint64_t keys = BenchKeyCount();
-  auto client_hosts = AddClientHosts(fabric);
-  const size_t n_hosts = client_hosts.size();
-  struct HostRig {
-    std::unique_ptr<rdma::VerbBatcher> batcher;
-    std::unique_ptr<ClientT> get_client;
-    std::unique_ptr<ClientT> put_client;
-    std::unique_ptr<workload::OpenLoopPool> pool;
+// One GET and one PUT client per host over `Stack`'s KV server (so
+// per-op-class tallies stay separable).
+template <typename Stack, typename... StackArgs>
+workload::LoadPoint RunOverloadPoint(const OverloadConfig& cfg,
+                                     obs::PointObs* pobs,
+                                     StackArgs... stack_args) {
+  using Client = typename Stack::Client;
+  PointRig rig(pobs);
+  Stack stack(&rig.fabric, stack_args...);
+  const uint64_t keys = Stack::keys();
+  auto make_client = [&stack](size_t, net::HostId host) {
+    return stack.MakeClient(host, 0, 0);
   };
-  std::vector<HostRig> rigs(n_hosts);
-  const sim::TimePoint measure_start = sim.Now() + cfg.windows.warmup;
-  const sim::TimePoint end = measure_start + cfg.windows.measure;
-  Rng master(cfg.seed);
-  const double rate_per_host =
-      cfg.offered_mops * 1e6 / static_cast<double>(n_hosts);
-  uint64_t remaining = cfg.n_clients;
-  for (size_t h = 0; h < n_hosts; ++h) {
-    HostRig& rig = rigs[h];
-    if (cfg.batched) {
-      rig.batcher = std::make_unique<rdma::VerbBatcher>(
-          &sim, &fabric.cost(), rdma::BatchOptions::Batched());
-    }
-    rig.get_client = make_client(client_hosts[h]);
-    rig.put_client = make_client(client_hosts[h]);
-    if (rig.batcher != nullptr) {
-      rig.get_client->set_batcher(rig.batcher.get());
-      rig.put_client->set_batcher(rig.batcher.get());
-    }
-    const uint64_t n_here = remaining / (n_hosts - h);
-    remaining -= n_here;
-    workload::PoolOptions popts;
-    popts.workers = cfg.workers_per_host;
-    rig.pool = std::make_unique<workload::OpenLoopPool>(
-        &sim, SpecOf(cfg.kind, rate_per_host), n_here, master.Fork(), popts);
-    if (pobs != nullptr && pobs->timelines != nullptr) {
-      rig.pool->set_timelines(pobs->timelines, &fabric.obs(), client_hosts[h]);
-    }
-    ClientT* gc = rig.get_client.get();
-    ClientT* pc = rig.put_client.get();
-    net::Fabric* fb = &fabric;
-    // Every loaded key stays reachable through any interleaving: PRISM-KV's
-    // install CAS is atomic and each PUT chain stages its swap operand in a
-    // private scratch lease, so a failed GET here is table corruption, not
-    // queueing — check it hard.
-    rig.pool->AddClass(
-        "kv.get", kReadFrac,
-        [gc, keys, cfg](uint64_t draw, obs::OpTimeline*) -> sim::Task<void> {
-          auto r = co_await gc->Get(KeyOf(draw % keys));
-          PRISM_CHECK(r.ok())
-              << r.status() << " key=" << (draw % keys)
-              << " system=" << cfg.system << " offered=" << cfg.offered_mops
-              << " batched=" << cfg.batched;
-        });
-    rig.pool->AddClass(
-        "kv.put", 1.0 - kReadFrac,
-        [pc, keys, cfg, &sim, fb](uint64_t draw,
+  net::Fabric* fb = &rig.fabric;
+  sim::Simulator* sim = &rig.sim;
+  // Every loaded key stays reachable through any interleaving: PRISM-KV's
+  // install CAS is atomic and each PUT chain stages its swap operand in a
+  // private scratch lease, so a failed GET here is table corruption, not
+  // queueing — check it hard.
+  auto get = [keys, cfg](Client* gc, uint64_t draw,
+                         obs::OpTimeline*) -> sim::Task<void> {
+    auto r = co_await gc->Get(KeyOf(draw % keys));
+    PRISM_CHECK(r.ok()) << r.status() << " key=" << (draw % keys)
+                        << " system=" << cfg.system
+                        << " offered=" << cfg.load.offered_mops
+                        << " batched=" << cfg.load.batched;
+  };
+  auto put = [keys, cfg, sim, fb](Client* pc, uint64_t draw,
                                   obs::OpTimeline* op) -> sim::Task<void> {
-          for (int attempt = 0;; ++attempt) {
-            Status s = co_await pc->Put(KeyOf(draw % keys),
-                                        Bytes(kBenchValueSize, 0x22));
-            if (s.ok()) break;
-            // Overload can transiently exhaust version buffers while
-            // reclamation RPCs drain; back off one op-service-time.
-            PRISM_CHECK(attempt < 8 && s.code() == Code::kResourceExhausted)
-                << s << " key=" << (draw % keys) << " system=" << cfg.system
-                << " offered=" << cfg.offered_mops
-                << " batched=" << cfg.batched << " attempt=" << attempt;
-            co_await sim::SleepFor(&sim, sim::Micros(20));
-            // The sleep suspended us: re-arm the timed-op register before
-            // the retry so the next Put attributes to this op.
-            if (op != nullptr) fb->obs().SetCurrentOp(op);
-          }
-        });
-    rig.pool->Start(measure_start, end);
-  }
-  sim.RunUntil(end + sim::Millis(20));  // drain backlog tail + reclamation
-  sim.Run();
-
-  LatencyHistogram all;
-  uint64_t measured_arrivals = 0;
-  uint64_t total_clients = 0;
-  for (size_t c = 0; c < 2; ++c) {
-    LatencyHistogram cls_hist;
-    obs::TransportTally tally;
-    uint64_t n_ops = 0;
-    for (HostRig& rig : rigs) {
-      cls_hist.Merge(rig.pool->recorder(c).hist());
-      n_ops += rig.pool->class_completions(c);
-      ClientT* cl = c == 0 ? rig.get_client.get() : rig.put_client.get();
-      tally += cl->TransportTally();
+    for (int attempt = 0;; ++attempt) {
+      Status s =
+          co_await pc->Put(KeyOf(draw % keys), Bytes(kBenchValueSize, 0x22));
+      if (s.ok()) break;
+      // Overload can transiently exhaust version buffers while reclamation
+      // RPCs drain; back off one op-service-time.
+      PRISM_CHECK(attempt < 8 && s.code() == Code::kResourceExhausted)
+          << s << " key=" << (draw % keys) << " system=" << cfg.system
+          << " offered=" << cfg.load.offered_mops
+          << " batched=" << cfg.load.batched << " attempt=" << attempt;
+      co_await sim::SleepFor(sim, sim::Micros(20));
+      // The sleep suspended us: re-arm the timed-op register before the
+      // retry so the next Put attributes to this op.
+      if (op != nullptr) fb->obs().SetCurrentOp(op);
     }
-    fabric.obs().ops().RecordN(rigs[0].pool->class_name(c), n_ops, tally);
-    all.Merge(cls_hist);
-  }
-  for (HostRig& rig : rigs) {
-    rig.pool->CheckDrained();
-    measured_arrivals += rig.pool->measured_arrivals();
-    total_clients += rig.pool->n_clients();
-    PRISM_CHECK_LE(rig.pool->state_bytes() / rig.pool->n_clients(), 64u);
-    if constexpr (requires(ClientT* cl) { cl->FlushReclaim(); }) {
-      rig.get_client->FlushReclaim();
-      rig.put_client->FlushReclaim();
-    }
-  }
-  sim.Run();  // flushed reclamation notifications
-
-  const double seconds = sim::ToSeconds(end - measure_start);
-  workload::LoadPoint p;
-  p.clients = static_cast<int>(total_clients);
-  const auto s = all.Summarize();
-  p.tput_mops = static_cast<double>(s.count) / seconds / 1e6;
-  p.offered_mops =
-      static_cast<double>(measured_arrivals) / seconds / 1e6;
-  p.mean_us = s.mean_us;
-  p.p50_us = s.p50_us;
-  p.p99_us = s.p99_us;
-  p.p999_us = s.p999_us;
-  p.sim_events = sim.executed_events();
-  p.ops = fabric.obs().ops().Collect();
-  // Sampled with every pool, client, and histogram still resident so the
-  // guard's two samples share their fixed footprint.
-  if (cfg.live_rss_out != nullptr) *cfg.live_rss_out = VmRssBytes();
-  return p;
-}
-
-workload::LoadPoint RunPrismOverloadPoint(const OverloadConfig& cfg,
-                                          obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
-  net::HostId server_host = fabric.AddHost("kv-server");
-  kv::PrismKvOptions opts;
-  const uint64_t keys = BenchKeyCount();
-  opts.n_buckets = keys;
-  opts.n_buffers = keys + 4096;
-  opts.dense_key_hash = true;
-  kv::PrismKvServer server(&fabric, server_host, opts);
-  for (uint64_t k = 0; k < keys; ++k) {
-    PRISM_CHECK(server
-                    .LoadKey(BytesOfString(KeyOf(k)),
-                             Bytes(kBenchValueSize, 0x11))
-                    .ok());
-  }
-  auto make_client = [&](net::HostId host) {
-    return std::make_unique<kv::PrismKvClient>(&fabric, host, &server);
   };
-  workload::LoadPoint p =
-      DriveOverload<kv::PrismKvClient>(sim, fabric, cfg, make_client, pobs);
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
-}
-
-workload::LoadPoint RunPilafOverloadPoint(const OverloadConfig& cfg,
-                                          obs::PointObs* pobs = nullptr) {
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G());
-  if (pobs != nullptr) fabric.obs().SetTracer(pobs->tracer);
-  net::HostId server_host = fabric.AddHost("pilaf-server");
-  kv::PilafOptions opts;
-  const uint64_t keys = BenchKeyCount();
-  opts.n_buckets = keys;
-  opts.n_extents = keys + 4096;
-  opts.backend = rdma::Backend::kHardwareNic;
-  opts.dense_key_hash = true;
-  kv::PilafServer server(&fabric, server_host, opts);
-  for (uint64_t k = 0; k < keys; ++k) {
-    PRISM_CHECK(server
-                    .LoadKey(BytesOfString(KeyOf(k)),
-                             Bytes(kBenchValueSize, 0x11))
-                    .ok());
-  }
-  auto make_client = [&](net::HostId host) {
-    return std::make_unique<kv::PilafClient>(&fabric, host, &server);
-  };
-  workload::LoadPoint p =
-      DriveOverload<kv::PilafClient>(sim, fabric, cfg, make_client, pobs);
-  if (pobs != nullptr) {
-    if (pobs->tracer != nullptr) pobs->host_names = fabric.HostNames();
-    if (pobs->want_metrics) pobs->snapshot = fabric.obs().metrics().Snapshot();
-  }
-  return p;
-}
-
-const obs::OpStats* FindOp(const workload::LoadPoint& p,
-                           const std::string& op) {
-  for (const obs::OpStats& os : p.ops) {
-    if (os.op == op) return &os;
-  }
-  return nullptr;
+  return RunOpenLoopPoint<Client>(
+      rig, cfg.load,
+      {{{"kv.get", kReadFrac, make_client, get},
+        {"kv.put", 1.0 - kReadFrac, make_client, put}}});
 }
 
 // Acceptance assertions at the highest offered load: batching must leave
@@ -304,14 +113,10 @@ void AssertBatchingInvariant(const std::string& system,
                              const workload::LoadPoint& plain,
                              const workload::LoadPoint& batched) {
   for (const char* op : {"kv.get", "kv.put"}) {
+    const double rt_a = RtPerOp(plain, op);
+    const double rt_b = RtPerOp(batched, op);
     const obs::OpStats* a = FindOp(plain, op);
     const obs::OpStats* b = FindOp(batched, op);
-    PRISM_CHECK(a != nullptr && a->count > 0) << system << " " << op;
-    PRISM_CHECK(b != nullptr && b->count > 0) << system << " " << op;
-    const double rt_a = static_cast<double>(a->totals.round_trips) /
-                        static_cast<double>(a->count);
-    const double rt_b = static_cast<double>(b->totals.round_trips) /
-                        static_cast<double>(b->count);
     PRISM_CHECK_LE(std::abs(rt_a - rt_b), 0.02 * rt_a)
         << system << " " << op << ": batching changed round trips per op ("
         << rt_a << " -> " << rt_b << ")";
@@ -339,22 +144,22 @@ void AssertBatchingInvariant(const std::string& system,
 // threshold makes that nondeterministic run to run.
 int RunGuard(uint64_t n_clients) {
   OverloadConfig cfg;
-  cfg.batched = true;
-  cfg.offered_mops = 2.0;
-  cfg.windows.warmup = sim::Millis(0.2);
-  cfg.windows.measure = sim::Millis(1.0);
-  cfg.seed = 42;
+  cfg.load.batched = true;
+  cfg.load.offered_mops = 2.0;
+  cfg.load.windows.warmup = sim::Millis(0.2);
+  cfg.load.windows.measure = sim::Millis(1.0);
+  cfg.load.seed = 42;
   const uint64_t small = n_clients / 8 > 0 ? n_clients / 8 : 1;
   size_t live_small = 0;
   size_t live_big = 0;
-  cfg.n_clients = small;
-  cfg.live_rss_out = &live_small;
-  workload::LoadPoint warm = RunPrismOverloadPoint(cfg);
+  cfg.load.n_clients = small;
+  cfg.load.live_rss_out = &live_small;
+  workload::LoadPoint warm = RunOverloadPoint<PrismKvStack>(cfg, nullptr);
   PRISM_CHECK_GT(warm.tput_mops, 0.0);
-  cfg.n_clients = n_clients;
-  cfg.seed = 43;
-  cfg.live_rss_out = &live_big;
-  workload::LoadPoint big = RunPrismOverloadPoint(cfg);
+  cfg.load.n_clients = n_clients;
+  cfg.load.seed = 43;
+  cfg.load.live_rss_out = &live_big;
+  workload::LoadPoint big = RunOverloadPoint<PrismKvStack>(cfg, nullptr);
   PRISM_CHECK_GT(big.tput_mops, 0.0);
   std::printf("guard: %llu clients, tput %.3f Mops, p999 %.2f us\n",
               static_cast<unsigned long long>(n_clients), big.tput_mops,
@@ -378,8 +183,6 @@ int RunGuard(uint64_t n_clients) {
 }
 
 int Main(int argc, char** argv) {
-  using workload::PrintHeader;
-  using workload::PrintRow;
   uint64_t guard_clients = 0;
   workload::ArrivalKind kind = workload::ArrivalKind::kPoisson;
   for (int i = 1; i < argc; ++i) {
@@ -416,18 +219,21 @@ int Main(int argc, char** argv) {
     for (size_t li = 0; li < sweep.size(); ++li) {
       OverloadConfig cfg;
       cfg.system = series[si].name;
-      cfg.batched = series[si].batched;
-      cfg.offered_mops = sweep[li];
-      cfg.n_clients = n_clients;
-      cfg.kind = kind;
-      cfg.windows = windows;
-      cfg.seed = 1000 * (si + 1) + li;
+      cfg.load.batched = series[si].batched;
+      cfg.load.offered_mops = sweep[li];
+      cfg.load.n_clients = n_clients;
+      cfg.load.arrival = kind;
+      cfg.load.windows = windows;
+      cfg.load.seed = 1000 * (si + 1) + li;
       obs::PointObs* po = rig.at(slot++);
       const bool prism = series[si].prism;
       cells.push_back({series[si].name,
                        [cfg, prism, po] {
-                         return prism ? RunPrismOverloadPoint(cfg, po)
-                                      : RunPilafOverloadPoint(cfg, po);
+                         return prism
+                                    ? RunOverloadPoint<PrismKvStack>(cfg, po)
+                                    : RunOverloadPoint<PilafStack>(
+                                          cfg, po,
+                                          rdma::Backend::kHardwareNic);
                        },
                        sweep[li]});
     }

@@ -7,8 +7,6 @@
 #ifndef PRISM_SRC_WORKLOAD_DRIVER_H_
 #define PRISM_SRC_WORKLOAD_DRIVER_H_
 
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -96,24 +94,6 @@ inline LoadPoint MakeLoadPoint(int clients, const Recorder& recorder) {
                            : 0;
   p.sim_events = recorder.sim().executed_events();
   return p;
-}
-
-// Table printing used by every bench binary (one figure per binary; the rows
-// are the series the paper plots).
-inline void PrintHeader(const std::string& title,
-                        const std::string& extra = "") {
-  std::printf("\n== %s ==\n", title.c_str());
-  std::printf("%-28s %8s %12s %10s %10s %10s %10s%s\n", "system", "clients",
-              "tput(Mops)", "mean(us)", "p50(us)", "p99(us)", "p999(us)",
-              extra.empty() ? "" : ("  " + extra).c_str());
-}
-
-inline void PrintRow(const std::string& system, const LoadPoint& p,
-                     const std::string& extra = "") {
-  std::printf("%-28s %8d %12.3f %10.2f %10.2f %10.2f %10.2f%s\n",
-              system.c_str(), p.clients, p.tput_mops, p.mean_us, p.p50_us,
-              p.p99_us, p.p999_us,
-              extra.empty() ? "" : ("  " + extra).c_str());
 }
 
 }  // namespace prism::workload

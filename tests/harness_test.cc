@@ -107,26 +107,27 @@ TEST(SweepHarnessTest, ThrowingPointFailsWithoutDeadlock) {
 }
 
 TEST(SweepHarnessTest, NoThrowVariantReportsPerPointErrors) {
+  // A failing point is reported through RunSweep's rethrow, after the
+  // points on either side of it have still run to completion.
+  std::atomic<int> sum{0};
   std::vector<harness::SweepPoint<int>> points = {
-      [] { return 7; },
+      [&sum] {
+        sum.fetch_add(7);
+        return 7;
+      },
       []() -> int { throw std::runtime_error("bad point"); },
-      [] { return 9; },
+      [&sum] {
+        sum.fetch_add(9);
+        return 9;
+      },
   };
-  const auto results =
-      harness::RunSweepNoThrow(points, harness::SweepOptions{2});
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_EQ(*results[0].value, 7);
-  EXPECT_FALSE(results[1].ok());
-  ASSERT_TRUE(results[1].error != nullptr);
   try {
-    std::rethrow_exception(results[1].error);
+    harness::RunSweep(points, harness::SweepOptions{2});
     FAIL() << "expected rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "bad point");
   }
-  EXPECT_TRUE(results[2].ok());
-  EXPECT_EQ(*results[2].value, 9);
+  EXPECT_EQ(sum.load(), 16);
 }
 
 TEST(SweepHarnessTest, RethrowsLowestIndexFailure) {
@@ -191,13 +192,10 @@ TEST(SweepHarnessTest, ThrowInLastSlotStillJoinsAndRethrows) {
 TEST(SweepHarnessTest, EmptyPointSetNeverDeadlocksOrThrows) {
   // Zero points with an oversized pool: the pool clamps to zero workers,
   // returns immediately, and there is no spurious rethrow from the empty
-  // result scan — in both throwing and no-throw variants.
+  // result scan.
   const std::vector<harness::SweepPoint<int>> none;
   for (int jobs : {1, 4, 32}) {
     EXPECT_TRUE(harness::RunSweep(none, harness::SweepOptions{jobs}).empty())
-        << "jobs=" << jobs;
-    EXPECT_TRUE(
-        harness::RunSweepNoThrow(none, harness::SweepOptions{jobs}).empty())
         << "jobs=" << jobs;
   }
 }
@@ -209,61 +207,6 @@ TEST(SweepHarnessTest, ManyMoreJobsThanPointsIsBitIdentical) {
   const auto serial = harness::RunSweep(points, harness::SweepOptions{1});
   const auto flooded = harness::RunSweep(points, harness::SweepOptions{64});
   EXPECT_EQ(flooded, serial);
-}
-
-TEST(SweepHarnessTest, PreCancelledSweepSkipsEverything) {
-  std::atomic<bool> cancel{true};
-  std::atomic<int> ran{0};
-  std::vector<harness::SweepPoint<int>> points;
-  for (int i = 0; i < 8; ++i) {
-    points.push_back([&ran] {
-      ran.fetch_add(1);
-      return 0;
-    });
-  }
-  for (int jobs : {1, 4}) {
-    harness::SweepOptions opts{jobs};
-    opts.cancel = &cancel;
-    const auto results = harness::RunSweepNoThrow(points, opts);
-    ASSERT_EQ(results.size(), 8u);
-    for (const auto& r : results) {
-      EXPECT_TRUE(r.skipped());
-      EXPECT_FALSE(r.ok());
-      EXPECT_TRUE(r.error == nullptr);
-    }
-  }
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(SweepHarnessTest, CancelMidSweepFinishesStartedPointsOnly) {
-  // Serial lane, cancel raised by point 2: points 0..2 ran (a started point
-  // always completes), everything after comes back skipped — and skipped
-  // slots are distinguishable from errors.
-  std::atomic<bool> cancel{false};
-  std::vector<harness::SweepPoint<int>> points;
-  for (int i = 0; i < 6; ++i) {
-    points.push_back([i, &cancel] {
-      if (i == 2) cancel.store(true);
-      return i * 10;
-    });
-  }
-  harness::SweepOptions opts{1};
-  opts.cancel = &cancel;
-  const auto results = harness::RunSweepNoThrow(points, opts);
-  ASSERT_EQ(results.size(), 6u);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(results[static_cast<size_t>(i)].ok()) << i;
-    EXPECT_EQ(*results[static_cast<size_t>(i)].value, i * 10);
-  }
-  for (size_t i = 3; i < 6; ++i) EXPECT_TRUE(results[i].skipped()) << i;
-}
-
-TEST(SweepHarnessTest, SweepRunnerWrapsSameSemantics) {
-  harness::SweepRunner runner(2);
-  EXPECT_EQ(runner.jobs(), 2);
-  const auto points = FingerprintPoints(5);
-  EXPECT_EQ(runner.Run(points),
-            harness::RunSweep(points, harness::SweepOptions{1}));
 }
 
 TEST(SweepHarnessTest, JobsResolutionPrecedence) {

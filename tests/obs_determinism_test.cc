@@ -16,7 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/kv_bench_lib.h"
+#include "bench/bench_report.h"
+#include "bench/stacks.h"
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/consensus/consensus.h"
@@ -57,8 +58,18 @@ class ObsDeterminismTest : public ::testing::Test {
   ObsDeterminismTest() { setenv("PRISM_BENCH_FAST", "1", 1); }
 };
 
+// A fast-mode closed-loop point: `clients` clients, class 0 drawn with
+// probability `mix`.
+ClosedLoad Load(int clients, uint64_t seed, double mix = 1.0,
+                double theta = 0.0) {
+  return {.clients = clients,
+          .mix = mix,
+          .theta = theta,
+          .windows = BenchWindows::Default(),
+          .seed = seed};
+}
+
 TEST_F(ObsDeterminismTest, TracingDoesNotPerturbPrismKvPoint) {
-  const BenchWindows windows = BenchWindows::Default();
   constexpr int kClients = 4;
   constexpr uint64_t kSeed = 3004;
 
@@ -68,7 +79,7 @@ TEST_F(ObsDeterminismTest, TracingDoesNotPerturbPrismKvPoint) {
   obs::PointObs base;
   base.want_metrics = true;
   PointResult off;
-  off.point = RunPrismKvPoint(kClients, 1.0, windows, kSeed, &base);
+  off.point = RunClosedPoint<PrismKvStack>(Load(kClients, kSeed), &base);
   off.snapshot = base.snapshot;
 
   // Same point, tracer attached.
@@ -77,7 +88,7 @@ TEST_F(ObsDeterminismTest, TracingDoesNotPerturbPrismKvPoint) {
   traced.tracer = &tracer;
   traced.want_metrics = true;
   PointResult on;
-  on.point = RunPrismKvPoint(kClients, 1.0, windows, kSeed, &traced);
+  on.point = RunClosedPoint<PrismKvStack>(Load(kClients, kSeed), &traced);
   on.snapshot = traced.snapshot;
 
   ExpectSamePoint(off.point, on.point);
@@ -106,13 +117,12 @@ TEST_F(ObsDeterminismTest, RerunIsBitIdentical) {
   // Two identical runs (as a --jobs worker would execute them) must agree
   // on every output bit — the property that makes per-point snapshots safe
   // to collect under any fan-out.
-  const BenchWindows windows = BenchWindows::Default();
   obs::PointObs a, b;
   a.want_metrics = b.want_metrics = true;
-  workload::LoadPoint pa = RunPilafPoint(2, 1.0, rdma::Backend::kHardwareNic,
-                                         windows, 1001, &a);
-  workload::LoadPoint pb = RunPilafPoint(2, 1.0, rdma::Backend::kHardwareNic,
-                                         windows, 1001, &b);
+  workload::LoadPoint pa = RunClosedPoint<PilafStack>(
+      Load(2, 1001), &a, rdma::Backend::kHardwareNic);
+  workload::LoadPoint pb = RunClosedPoint<PilafStack>(
+      Load(2, 1001), &b, rdma::Backend::kHardwareNic);
   ExpectSamePoint(pa, pb);
   EXPECT_TRUE(a.snapshot == b.snapshot);
 }
@@ -123,11 +133,10 @@ TEST_F(ObsDeterminismTest, ScheduleHookOffLeavesBenchPointUntouched) {
   // Guarded two ways — an uninstrumented rerun is bit-identical (above, and
   // re-asserted here against a fresh run), and the sim's event accounting
   // in the snapshot shows the production lanes executed every event.
-  const BenchWindows windows = BenchWindows::Default();
   obs::PointObs a, b;
   a.want_metrics = b.want_metrics = true;
-  workload::LoadPoint pa = RunPrismKvPoint(3, 1.0, windows, 2024, &a);
-  workload::LoadPoint pb = RunPrismKvPoint(3, 1.0, windows, 2024, &b);
+  workload::LoadPoint pa = RunClosedPoint<PrismKvStack>(Load(3, 2024), &a);
+  workload::LoadPoint pb = RunClosedPoint<PrismKvStack>(Load(3, 2024), &b);
   ExpectSamePoint(pa, pb);
   EXPECT_TRUE(a.snapshot == b.snapshot);
 }
@@ -405,20 +414,13 @@ TEST_F(ObsDeterminismTest, ConsensusObsArtifactsRerunBitIdentical) {
 }
 
 TEST_F(ObsDeterminismTest, Table1RoundTripsPrismVsPilaf) {
-  const BenchWindows windows = BenchWindows::Default();
   workload::LoadPoint prism_point =
-      RunPrismKvPoint(2, 1.0, windows, 42, nullptr);
-  workload::LoadPoint pilaf_point = RunPilafPoint(
-      2, 1.0, rdma::Backend::kHardwareNic, windows, 42, nullptr);
+      RunClosedPoint<PrismKvStack>(Load(2, 42), nullptr);
+  workload::LoadPoint pilaf_point = RunClosedPoint<PilafStack>(
+      Load(2, 42), nullptr, rdma::Backend::kHardwareNic);
 
-  auto get_row = [](const workload::LoadPoint& p) -> const obs::OpStats* {
-    for (const obs::OpStats& os : p.ops) {
-      if (os.op == "kv.get") return &os;
-    }
-    return nullptr;
-  };
-  const obs::OpStats* prism_get = get_row(prism_point);
-  const obs::OpStats* pilaf_get = get_row(pilaf_point);
+  const obs::OpStats* prism_get = FindOp(prism_point, "kv.get");
+  const obs::OpStats* pilaf_get = FindOp(pilaf_point, "kv.get");
   ASSERT_NE(prism_get, nullptr);
   ASSERT_NE(pilaf_get, nullptr);
   ASSERT_GT(prism_get->count, 0u);
@@ -433,6 +435,94 @@ TEST_F(ObsDeterminismTest, Table1RoundTripsPrismVsPilaf) {
   // software, so each chain costs one (SmartNIC-class) cpu action.
   EXPECT_EQ(prism_get->totals.cpu_actions, prism_get->count);
   EXPECT_EQ(pilaf_get->totals.cpu_actions, 0u);
+}
+
+// ---- the figure rig on every paper stack ----
+
+// Two runs of one closed-loop point agree on every output bit, and the
+// point did work.
+template <typename Stack, typename... StackArgs>
+void ExpectStackRerunsIdentically(const ClosedLoad& load,
+                                  StackArgs... stack_args) {
+  obs::PointObs a, b;
+  a.want_metrics = b.want_metrics = true;
+  const workload::LoadPoint pa =
+      RunClosedPoint<Stack>(load, &a, stack_args...);
+  const workload::LoadPoint pb =
+      RunClosedPoint<Stack>(load, &b, stack_args...);
+  ExpectSamePoint(pa, pb);
+  EXPECT_TRUE(a.snapshot == b.snapshot);
+  EXPECT_GT(pa.tput_mops, 0.0);
+  for (const char* op : Stack::kOps) {
+    const obs::OpStats* row = FindOp(pa, op);
+    ASSERT_NE(row, nullptr) << op;
+    EXPECT_GT(row->count, 0u) << op;
+  }
+}
+
+TEST_F(ObsDeterminismTest, EveryStackRerunsBitIdentically) {
+  {
+    SCOPED_TRACE("PRISM-KV");
+    ExpectStackRerunsIdentically<PrismKvStack>(Load(3, 11, 0.5));
+  }
+  {
+    SCOPED_TRACE("Pilaf");
+    ExpectStackRerunsIdentically<PilafStack>(Load(3, 12, 0.5),
+                                             rdma::Backend::kHardwareNic);
+  }
+  {
+    SCOPED_TRACE("PRISM-RS");
+    ExpectStackRerunsIdentically<PrismRsStack>(Load(3, 13, 0.5));
+  }
+  {
+    SCOPED_TRACE("ABD-LOCK");
+    ExpectStackRerunsIdentically<AbdLockStack>(Load(3, 14, 0.5),
+                                               rdma::Backend::kHardwareNic);
+  }
+  {
+    SCOPED_TRACE("PRISM-TX");
+    ExpectStackRerunsIdentically<PrismTxStack>(Load(3, 15, 0.0, 0.9));
+  }
+  {
+    SCOPED_TRACE("FaRM");
+    ExpectStackRerunsIdentically<FarmStack>(Load(3, 16, 0.0, 0.9),
+                                            rdma::Backend::kHardwareNic);
+  }
+}
+
+// §6: a PRISM-RS op at 3 replicas is two chained phases against every
+// replica, 6 round trips for both GET and PUT, which is rs_mixed's
+// whole-run prism.rt_per_op of 6.0. Each phase returns on a quorum of 2
+// replies, so the third reply lands during the client's next op and is
+// counted there; only each client's last late reply falls outside every
+// op. The requests are counted as they are sent, so they are exact.
+TEST_F(ObsDeterminismTest, PrismRsOpsTakeSixRoundTripsAtThreeReplicas) {
+  constexpr int kClients = 4;
+  const workload::LoadPoint p =
+      RunClosedPoint<PrismRsStack>(Load(kClients, 21, 0.5), nullptr);
+  uint64_t ops = 0;
+  uint64_t round_trips = 0;
+  for (const char* op : {"rs.get", "rs.put"}) {
+    const obs::OpStats* row = FindOp(p, op);
+    ASSERT_NE(row, nullptr) << op;
+    ASSERT_GT(row->count, 0u) << op;
+    EXPECT_EQ(row->totals.messages, 6 * row->count) << op;
+    ops += row->count;
+    round_trips += row->totals.round_trips;
+  }
+  EXPECT_LE(round_trips, 6 * ops);
+  EXPECT_GE(round_trips + kClients, 6 * ops);
+}
+
+// ABD-LOCK pays lock, read, write and unlock round trips per op, so it
+// costs more round trips per op than PRISM-RS for both classes.
+TEST_F(ObsDeterminismTest, AbdLockTakesMoreRoundTripsThanPrismRs) {
+  const workload::LoadPoint prism_point =
+      RunClosedPoint<PrismRsStack>(Load(4, 22, 0.5), nullptr);
+  const workload::LoadPoint abd_point = RunClosedPoint<AbdLockStack>(
+      Load(4, 22, 0.5), nullptr, rdma::Backend::kHardwareNic);
+  EXPECT_GT(RtPerOp(abd_point, "abd.get"), RtPerOp(prism_point, "rs.get"));
+  EXPECT_GT(RtPerOp(abd_point, "abd.put"), RtPerOp(prism_point, "rs.put"));
 }
 
 }  // namespace
