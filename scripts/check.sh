@@ -4,7 +4,8 @@
 # 1M logical clients), the tail-latency attribution smoke
 # (tools/latency_report on the traced figure artifacts, including the
 # malformed-input exit-code contract), an ASan+UBSan build of
-# the whole tree with the sanitize-labeled test suite, the chaos sweeps, the
+# the whole tree with the sanitize-labeled test suite, the chaos sweeps
+# (RS, KV, TX and consensus; label: chaos), the
 # schedule-space exploration sweeps (label: explore), the one-sided
 # synchronization suite (label: sync) and the permission-guarded consensus
 # suite (label: consensus) under both the ASan and TSan presets,
@@ -16,8 +17,9 @@
 #   scripts/check.sh --fast          # tier-1 only
 #   scripts/check.sh --jobs 4        # cap build/ctest/sweep parallelism
 #
-# --jobs also propagates to the in-process sweep harness (bench drivers and
-# chaos_test read PRISM_JOBS when no --jobs=N flag is given).
+# --jobs also propagates to the in-process sweep harness through PRISM_JOBS
+# (bench drivers read it when no --jobs=N flag is given; the chaos sweeps,
+# which take no flags, always read it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -41,8 +41,9 @@ cmake --build "$BUILD" -j "$JOBS" --target "${TARGETS[@]}"
 
 echo "==> coverage: run instrumented tests"
 find "$BUILD" -name '*.gcda' -delete
+# explore_test takes --jobs=N; the chaos sweeps read PRISM_JOBS.
 for t in "${TARGETS[@]}"; do
-  "./$BUILD/tests/$t" --jobs="$JOBS" >/dev/null
+  PRISM_JOBS="$JOBS" "./$BUILD/tests/$t" --jobs="$JOBS" >/dev/null
 done
 
 echo "==> coverage: aggregate gcov for src/check/ + src/explore/ + src/sync/ + src/consensus/"

@@ -229,7 +229,7 @@ std::string ChaosMonkey::Describe() const {
     }
     out += line;
   }
-  return out;
+  return out + "\n";
 }
 
 }  // namespace prism::chaos

@@ -98,6 +98,8 @@ class ChaosMonkey {
   }
 
   const std::vector<FaultEvent>& schedule() const { return schedule_; }
+  // The expanded schedule, one line per event, newline-terminated so a
+  // witness printed after it starts on its own line.
   std::string Describe() const;
 
   // ---- fault windows ----

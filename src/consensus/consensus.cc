@@ -214,6 +214,7 @@ struct ConsensusNode::Elect {
   std::shared_ptr<sim::Quorum> q;  // null when no remote grant is awaited
   std::vector<bool> granted;
   std::vector<rdma::RKey> rkeys;
+  std::vector<uint64_t> commits;  // each granting replica's commit word
   // Highest-epoch entry per slot across the grant quorum (the Paxos read
   // phase); merged against the colocated replica's log.
   std::map<uint64_t, LogEntryWire> pool;
@@ -226,6 +227,7 @@ struct ConsensusNode::Elect {
 void ConsensusNode::Adopt(Elect& st, int r, const GrantResponse& resp) {
   st.granted[static_cast<size_t>(r)] = true;
   st.rkeys[static_cast<size_t>(r)] = static_cast<rdma::RKey>(resp.rkey);
+  st.commits[static_cast<size_t>(r)] = resp.commit_seq;
   st.max_commit = std::max(st.max_commit, resp.commit_seq);
   st.max_write = std::max(st.max_write, resp.write_seq);
   for (uint32_t i = 0; i < resp.n_entries; ++i) {
@@ -300,6 +302,7 @@ sim::Task<Result<uint64_t>> ConsensusNode::BecomeLeader(obs::OpTimeline* op) {
     st->op = op;
     st->granted.assign(static_cast<size_t>(cluster_->n()), false);
     st->rkeys.assign(static_cast<size_t>(cluster_->n()), 0);
+    st->commits.assign(static_cast<size_t>(cluster_->n()), 0);
 
     // Colocated replica first: its grant is synchronous and its log is the
     // free bulk of catch-up (the leader writes every entry locally, so only
@@ -415,16 +418,28 @@ sim::Task<Status> ConsensusNode::FinishElection(std::shared_ptr<Elect> st,
     }
   }
 
-  // Re-commit the adopted suffix under the new epoch before serving (the
-  // Paxos write-back): everything above the colocated commit word.
+  // A granted replica whose commit word lags ours may hold slots at or
+  // below from_seq that an older reign never chose, and the re-commit below
+  // moves its commit word to from_seq: bring it level through the replay
+  // first, or leave it out of this reign (a later re-grant heals it).
+  for (int r = 0; r < cluster_->n(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    if (r == id_ || !st->granted[i] || st->commits[i] >= st->from_seq) {
+      continue;
+    }
+    st->granted[i] =
+        co_await Replay(r, st->rkeys[i], st->commits[i], st->from_seq, op);
+  }
+
+  const int granted = static_cast<int>(
+      std::count(st->granted.begin(), st->granted.end(), true));
   const int need = cluster_->options().require_revoke_quorum
                        ? cluster_->quorum()
-                       : std::min<int>(cluster_->quorum(),
-                                       [&] {
-                                         int g = 0;
-                                         for (bool b : st->granted) g += b;
-                                         return g;
-                                       }());
+                       : std::min(cluster_->quorum(), granted);
+  if (granted < need) co_return Aborted("catch-up lost its quorum");
+
+  // Re-commit the adopted suffix under the new epoch before serving (the
+  // Paxos write-back): everything above the colocated commit word.
   for (auto& [seq, e] : view) {
     if (seq <= st->from_seq) continue;
     e.hdr = PackHdr(st->target_epoch, seq);
@@ -706,12 +721,26 @@ sim::Task<bool> ConsensusNode::HealReplica(int r, rdma::RKey rkey,
     auto w = co_await prism_.Execute(&cluster_->replica(r).prism(), wipe);
     ok = w.ok() && core::ChainFullySucceeded(wipe, *w);
   }
-  // Replay the committed range it is missing from the colocated log (an
-  // adopted hole replays as zeros — consistently absent everywhere).
+  if (ok) ok = co_await Replay(r, rkey, their_commit, snap_commit, op);
+  if (ok && leading_ && epoch_ == snap_epoch &&
+      !granted_[static_cast<size_t>(r)]) {
+    granted_[static_cast<size_t>(r)] = true;
+    rkeys_[static_cast<size_t>(r)] = rkey;
+    co_return true;
+  }
+  co_return false;
+}
+
+sim::Task<bool> ConsensusNode::Replay(int r, rdma::RKey rkey,
+                                      uint64_t their_commit, uint64_t upto,
+                                      obs::OpTimeline* op) {
+  // The committed range it is missing, from the colocated log (an adopted
+  // hole replays as zeros — consistently absent everywhere).
+  bool ok = true;
   uint64_t s = their_commit + 1;
-  while (ok && s <= snap_commit) {
+  while (ok && s <= upto) {
     core::Chain chain;
-    for (size_t b = 0; b < kRepairBatch && s <= snap_commit; ++b, ++s) {
+    for (size_t b = 0; b < kRepairBatch && s <= upto; ++b, ++s) {
       LogEntryWire e;
       Bytes slot(kSlotStride, 0);
       if (cluster_->replica(id_).EntryAt(s, &e)) {
@@ -730,19 +759,12 @@ sim::Task<bool> ConsensusNode::HealReplica(int r, rdma::RKey rkey,
   if (ok) {
     core::Chain fin;
     fin.push_back(Op::Write(
-        rkey, cluster_->replica(r).ctrl_addr() + kCommitOff,
-        Word(snap_commit)));
+        rkey, cluster_->replica(r).ctrl_addr() + kCommitOff, Word(upto)));
     Arm(op);
     auto res = co_await prism_.Execute(&cluster_->replica(r).prism(), fin);
     ok = res.ok() && core::ChainFullySucceeded(fin, *res);
   }
-  if (ok && leading_ && epoch_ == snap_epoch &&
-      !granted_[static_cast<size_t>(r)]) {
-    granted_[static_cast<size_t>(r)] = true;
-    rkeys_[static_cast<size_t>(r)] = rkey;
-    co_return true;
-  }
-  co_return false;
+  co_return ok;
 }
 
 sim::Task<void> ConsensusNode::TryRegrant(obs::OpTimeline* op) {

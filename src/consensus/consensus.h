@@ -281,9 +281,15 @@ class ConsensusNode {
   // A kPermissionDenied NACK from replica r means it revoked our rkey.
   void MarkDeposed(int r);
 
-  // Wipe-stale-tail + replay-committed-range + commit-word write for a
-  // replica that just (re-)granted; marks it granted on success. Shared by
-  // the background probe and a late post-quorum grant.
+  // The one catch-up path: replays the colocated log's slots
+  // (their_commit, upto] onto replica r, then writes its commit word
+  // `upto`. Used by HealReplica and, during an election, for every granted
+  // replica whose commit word lags the candidate's.
+  sim::Task<bool> Replay(int r, rdma::RKey rkey, uint64_t their_commit,
+                         uint64_t upto, obs::OpTimeline* op);
+  // Wipe-stale-tail + Replay up to our commit word for a replica that just
+  // (re-)granted; marks it granted on success. Shared by the background
+  // probe and a late post-quorum grant.
   sim::Task<bool> HealReplica(int r, rdma::RKey rkey, uint64_t their_commit,
                               uint64_t their_write, obs::OpTimeline* op);
   // Background probe: re-grant + repair replicas missing from granted_.

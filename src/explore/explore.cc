@@ -195,13 +195,16 @@ SweepReport ExploreSweep(Workload kind, const std::vector<uint64_t>& seeds,
   return report;
 }
 
-RunOutcome ReplayReproducer(const Reproducer& repro) {
+RunOutcome ReplayReproducer(const Reproducer& repro,
+                            const std::string& trace_path, bool metrics) {
   ReplayHook hook(repro.delta, repro.perturbations);
   WorkloadOptions wo;
   wo.kind = repro.kind;
   wo.seed = repro.seed;
   wo.hook = &hook;
   wo.disabled_windows = &repro.disabled_windows;
+  wo.trace_path = trace_path;
+  wo.metrics = metrics;
   return RunWorkload(wo);
 }
 

@@ -61,8 +61,12 @@ bool SaveReproducerFile(const std::string& path, const Reproducer& repro,
 bool LoadReproducerFile(const std::string& path, Reproducer* out,
                         std::string* error);
 
-// Re-executes a reproducer through a ReplayHook.
-RunOutcome ReplayReproducer(const Reproducer& repro);
+// Re-executes a reproducer through a ReplayHook, optionally writing the
+// run's span trace to `trace_path` and its metrics snapshot into the
+// outcome (WorkloadOptions::trace_path / metrics).
+RunOutcome ReplayReproducer(const Reproducer& repro,
+                            const std::string& trace_path = "",
+                            bool metrics = false);
 
 // Re-runs a candidate (perturbations, disabled fault windows) pair and
 // reports the outcome; the shrinker is written against this so tests can

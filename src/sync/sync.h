@@ -105,7 +105,7 @@ inline constexpr uint64_t kValueOff = 24;
 
 // A 16-byte value whose BOTH words are unique to (seed, client, op): torn
 // combinations of two such values fingerprint to a ValueId no writer ever
-// recorded. (The chaos_test-style UniqueValue keeps its first word constant
+// recorded. (The chaos runs' explore::UniqueValue keeps its first word constant
 // per run, which would make tears invisible.)
 Bytes MakeValue(uint64_t seed, int client, int op);
 // The value every key is preloaded with (same bytes for all keys, so one

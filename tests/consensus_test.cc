@@ -1,50 +1,29 @@
 // Tests for the permission-guarded consensus log (src/consensus): leader
 // election via rkey revocation, deposed-leader write rejection through the
-// revoke-NACK path, cross-epoch log safety, the exact 2-round-trip commit
-// profile, and a 100-seed chaos sweep (crash/partition/loss/latency) whose
-// client histories all pass the Wing–Gong linearizability checker. Any
-// violating seed prints its fault schedule and a replay command line:
-//
-//     consensus_test --seed=N --gtest_filter=ConsensusChaosSweep.*
-//
-// The binary has a custom main() for --seed=N / --jobs=N, like chaos_test.
+// revoke-NACK path, cross-epoch log safety, and the exact 2-round-trip
+// commit profile. The consensus chaos sweep runs with the other chaos
+// sweeps in chaos_test (ConsensusChaosSweep).
 #include "src/consensus/consensus.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/chaos/chaos.h"
 #include "src/check/checker.h"
 #include "src/check/history.h"
-#include "src/common/rng.h"
-#include "src/harness/sweep.h"
+#include "src/explore/workloads.h"
 #include "src/net/fabric.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
 
 namespace prism {
-
-// Set by --seed=N: replay exactly one chaos seed instead of sweeping.
-int64_t g_replay_seed = -1;
-// Set by --jobs=N: worker threads for the sweep (0 = DefaultJobs()).
-int g_consensus_jobs = 0;
-
 namespace consensus {
 namespace {
 
 using sim::Task;
-
-std::vector<uint64_t> SweepSeeds() {
-  if (g_replay_seed >= 0) return {static_cast<uint64_t>(g_replay_seed)};
-  std::vector<uint64_t> seeds;
-  for (uint64_t s = 1; s <= 100; ++s) seeds.push_back(s);
-  return seeds;
-}
 
 // A 3-replica cluster on its own fabric; replica hosts are 0..2.
 struct Rig {
@@ -73,30 +52,13 @@ struct Rig {
   }
 };
 
-// Pairwise cross-replica log-safety oracle: below both commit words, two
-// replicas that both hold a slot must hold the same key/value (epochs in
-// the header may differ until healing rewrites them — content may not).
-testing::AssertionResult CommittedPrefixesAgree(ConsensusCluster& cluster) {
-  for (int a = 0; a < cluster.n(); ++a) {
-    for (int b = a + 1; b < cluster.n(); ++b) {
-      const uint64_t upto =
-          std::min(cluster.replica(a).commit_seq(),
-                   cluster.replica(b).commit_seq());
-      for (uint64_t s = 1; s <= upto; ++s) {
-        LogEntryWire ea, eb;
-        if (!cluster.replica(a).EntryAt(s, &ea) ||
-            !cluster.replica(b).EntryAt(s, &eb)) {
-          continue;  // holes are legal (indeterminate ops that never land)
-        }
-        if (ea.key != eb.key || ea.v_lo != eb.v_lo || ea.v_hi != eb.v_hi) {
-          return testing::AssertionFailure()
-                 << "replicas " << a << " and " << b << " diverge at seq "
-                 << s << " (keys " << ea.key << " vs " << eb.key << ")";
-        }
-      }
-    }
+// The log-safety oracle, with its witness on failure.
+testing::AssertionResult LogsAgree(const ConsensusCluster& cluster) {
+  std::string error;
+  if (explore::CommittedPrefixesAgree(cluster, &error)) {
+    return testing::AssertionSuccess();
   }
-  return testing::AssertionSuccess();
+  return testing::AssertionFailure() << error;
 }
 
 // ---- leader election via revocation ----
@@ -237,7 +199,7 @@ TEST(DeposedLeaderTest, RemoteNacksRejectThePutAndMarkDeposal) {
   EXPECT_TRUE(usurper.ok()) << usurper;
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(*read, MakeValue(2, 9, 0));
-  EXPECT_TRUE(CommittedPrefixesAgree(*rig.cluster));
+  EXPECT_TRUE(LogsAgree(*rig.cluster));
 }
 
 // ---- log safety across epochs ----
@@ -275,7 +237,7 @@ TEST(LogSafetyTest, AdoptionCarriesCommitsAcrossLeaderChanges) {
   EXPECT_EQ(*v1, MakeValue(3, 2, 2));  // reign 2, op 2 → key 1
   EXPECT_EQ(*v2, MakeValue(3, 2, 3));  // reign 2, op 3 → key 2
 
-  EXPECT_TRUE(CommittedPrefixesAgree(*rig.cluster));
+  EXPECT_TRUE(LogsAgree(*rig.cluster));
   auto lin = check::CheckLinearizable(history.ops(), check::kAbsent);
   EXPECT_TRUE(lin.ok) << lin.error;
   // Each handoff adopted the predecessor's in-flight window.
@@ -285,6 +247,55 @@ TEST(LogSafetyTest, AdoptionCarriesCommitsAcrossLeaderChanges) {
     revocations += rig.cluster->replica(i).revocations();
   }
   EXPECT_GE(revocations, 6u);  // ≥ quorum per election
+}
+
+// A granted replica whose commit word lags the new leader's must be caught
+// up before any commit word lands on it; otherwise a slot below that word
+// keeps an entry an older reign never chose. Scripted: leader 1, cut off,
+// appends slot 3 to its own log only; leader 2 chooses other entries for
+// slots 3 and 4 on replicas 0 and 2; then leader 0 wins on replica 1's
+// grant while replica 1's commit word (2) is below leader 0's (3).
+TEST(LogSafetyTest, LaggingGrantIsReplayedBeforeItsCommitWordMoves) {
+  Rig rig;
+  ConsensusSession session(rig.cluster.get());
+  auto put = [&](int leader, uint64_t key, int op) {
+    Status st = Unavailable("never ran");
+    sim::Spawn([&]() -> Task<void> {
+      auto out = co_await session.PutOn(leader, key, MakeValue(5, leader, op),
+                                        nullptr);
+      st = out.status;
+    });
+    rig.sim.Run();
+    return st;
+  };
+  auto isolate = [&](int r, bool blocked) {
+    for (int o = 0; o < rig.cluster->n(); ++o) {
+      if (o == r) continue;
+      const net::HostId a = rig.cluster->replica(r).host();
+      const net::HostId b = rig.cluster->replica(o).host();
+      rig.fabric.SetLinkBlocked(a, b, blocked);
+      rig.fabric.SetLinkBlocked(b, a, blocked);
+    }
+  };
+
+  ASSERT_TRUE(rig.Elect(1).ok());
+  ASSERT_TRUE(put(1, 1, 0).ok());  // slot 1
+  ASSERT_TRUE(put(1, 1, 1).ok());  // slot 2
+  isolate(1, true);
+  EXPECT_FALSE(put(1, 1, 2).ok());  // slot 3, on replica 1 alone
+  ASSERT_TRUE(rig.Elect(2).ok());
+  ASSERT_TRUE(put(2, 1, 3).ok());  // slot 3, chosen
+  ASSERT_TRUE(put(2, 2, 4).ok());  // slot 4
+  isolate(1, false);
+  isolate(2, true);
+  ASSERT_EQ(rig.cluster->replica(1).commit_seq(), 2u);
+  ASSERT_EQ(rig.cluster->replica(0).commit_seq(), 3u);
+  ASSERT_TRUE(rig.Elect(0).ok());
+  EXPECT_TRUE(LogsAgree(*rig.cluster));
+  // Replica 1 is in leader 0's quorum, and the next commit lands on it.
+  ASSERT_TRUE(put(0, 2, 5).ok());
+  EXPECT_GE(rig.cluster->replica(1).commit_seq(), 4u);
+  EXPECT_TRUE(LogsAgree(*rig.cluster));
 }
 
 // The client bootstraps leadership itself: no election has run, the first
@@ -304,157 +315,6 @@ TEST(ClientTest, BootstrapsLeadershipOnFirstOp) {
   EXPECT_EQ(miss.status().code(), Code::kNotFound);
 }
 
-// ---- chaos sweep ----
-
-struct SeedRun {
-  bool hang = false;
-  check::CheckResult check;
-  bool logs_ok = false;
-  std::string log_error;
-  std::string schedule;
-  int faults = 0;
-  uint64_t failovers = 0;
-  uint64_t ok_ops = 0;
-};
-
-std::string ReplayBanner(uint64_t seed, const SeedRun& r) {
-  std::ostringstream os;
-  os << "consensus chaos seed " << seed
-     << " — replay with:\n    consensus_test --seed=" << seed
-     << " --gtest_filter=ConsensusChaosSweep.*\n"
-     << r.schedule;
-  return os.str();
-}
-
-// One seeded run: 3 replicas (f = 1, crash at most one at a time; memory
-// survives — the PMP memory-server model), partitions/loss/latency over
-// every host, 3 clients on their own hosts issuing Put/Get with retries and
-// client-triggered failovers. Every op lands in the history; indeterminate
-// outcomes stay open intervals for the checker.
-SeedRun RunConsensusSeed(uint64_t seed) {
-  constexpr int kClients = 3;
-  constexpr int kOpsPerClient = 10;
-  constexpr uint64_t kKeys = 3;
-
-  sim::Simulator sim;
-  net::Fabric fabric(&sim, net::CostModel::EvalCluster40G(),
-                     /*loss_seed=*/seed);
-  ConsensusOptions opts;
-  std::vector<net::HostId> hosts;
-  for (int i = 0; i < opts.n_replicas; ++i) {
-    hosts.push_back(fabric.AddHost("replica" + std::to_string(i)));
-  }
-  ConsensusCluster cluster(&fabric, hosts, opts);
-
-  check::HistoryRecorder history(&sim);
-  std::vector<net::HostId> client_hosts;
-  std::vector<std::unique_ptr<ConsensusClient>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    client_hosts.push_back(fabric.AddHost("client" + std::to_string(c)));
-    clients.push_back(std::make_unique<ConsensusClient>(
-        &cluster, static_cast<uint16_t>(c + 1),
-        seed * 131 + static_cast<uint64_t>(c)));
-    clients[c]->set_history(&history, c + 1);
-  }
-
-  chaos::ChaosOptions copts;
-  copts.seed = seed;
-  copts.crashable = {hosts[0], hosts[1], hosts[2]};
-  copts.max_concurrent_crashes = 1;  // = f: a quorum stays reachable
-  copts.partition_hosts = hosts;
-  for (net::HostId h : client_hosts) copts.partition_hosts.push_back(h);
-  chaos::ChaosMonkey monkey(&fabric, copts);
-  monkey.Arm();
-
-  sim::TaskTracker tracker;
-  uint64_t ok_ops = 0;
-  for (int c = 0; c < kClients; ++c) {
-    sim::Spawn(
-        [&, c]() -> Task<void> {
-          Rng rng(seed * 977 + static_cast<uint64_t>(c));
-          for (int i = 0; i < kOpsPerClient; ++i) {
-            const uint64_t key = 1 + rng.NextBelow(kKeys);
-            if (rng.NextBool(0.5)) {
-              Status s =
-                  co_await clients[c]->Put(key, MakeValue(seed, c, i));
-              if (s.ok()) ok_ops++;
-            } else {
-              auto r = co_await clients[c]->Get(key);
-              if (r.ok()) ok_ops++;
-            }
-            co_await sim::SleepFor(&sim,
-                                   sim::Micros(rng.NextInRange(100, 600)));
-          }
-        },
-        &tracker);
-  }
-  sim.Run();
-
-  SeedRun r;
-  r.hang = tracker.live() > 0 || cluster.tracker().live() > 0;
-  r.schedule = monkey.Describe();
-  r.faults = monkey.crashes_injected() + monkey.partitions_injected() +
-             monkey.loss_bursts_injected() + monkey.latency_spikes_injected();
-  r.failovers = cluster.failovers();
-  r.ok_ops = ok_ops;
-  r.check = check::CheckLinearizable(history.ops(), check::kAbsent);
-  auto logs = CommittedPrefixesAgree(cluster);
-  r.logs_ok = static_cast<bool>(logs);
-  if (!r.logs_ok) r.log_error = logs.message();
-  return r;
-}
-
-TEST(ConsensusChaosSweep, LinearizableWithAgreedLogs) {
-  const std::vector<uint64_t> seeds = SweepSeeds();
-  std::vector<SeedRun> runs;
-  runs.reserve(seeds.size());
-  if (g_replay_seed >= 0) {
-    for (uint64_t seed : seeds) runs.push_back(RunConsensusSeed(seed));
-  } else {
-    std::vector<harness::SweepPoint<SeedRun>> points;
-    points.reserve(seeds.size());
-    for (uint64_t seed : seeds) {
-      points.push_back([seed] { return RunConsensusSeed(seed); });
-    }
-    runs = harness::RunSweep(points, harness::SweepOptions{g_consensus_jobs});
-  }
-  int total_faults = 0;
-  uint64_t total_failovers = 0;
-  uint64_t total_ok = 0;
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    const SeedRun& r = runs[i];
-    total_faults += r.faults;
-    total_failovers += r.failovers;
-    total_ok += r.ok_ops;
-    EXPECT_FALSE(r.hang) << "coroutines hung\n" << ReplayBanner(seeds[i], r);
-    EXPECT_TRUE(r.check.ok) << ReplayBanner(seeds[i], r) << r.check.error;
-    EXPECT_TRUE(r.logs_ok) << ReplayBanner(seeds[i], r) << r.log_error;
-    if (r.hang || !r.check.ok || !r.logs_ok) break;
-  }
-  if (g_replay_seed < 0) {
-    // The sweep must exercise real trouble AND real progress: faults
-    // injected, leader changes forced by them, and plenty of acked ops.
-    EXPECT_GT(total_faults, 100);
-    EXPECT_GT(total_failovers, seeds.size());
-    EXPECT_GT(total_ok, seeds.size() * 10);
-  }
-}
-
 }  // namespace
 }  // namespace consensus
 }  // namespace prism
-
-// Custom main: --seed=N (replay one chaos schedule) and --jobs=N (sweep
-// parallelism) before gtest parses the rest.
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      prism::g_replay_seed = std::stoll(arg.substr(7));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      prism::g_consensus_jobs = std::stoi(arg.substr(7));
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -17,7 +17,7 @@
 //   * positive end-to-end: the real PRISM-RS / KV / TX stacks survive the
 //     same exploration budget with zero violations.
 //
-// Custom main: --jobs=N sets the sweep fan-out (like chaos_test).
+// Custom main: --jobs=N sets the sweep fan-out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -128,7 +128,9 @@ TEST(WorkloadTest, PerturbHookRespectsBudget) {
     wo.hook = &hook;
     (void)RunWorkload(wo);
     EXPECT_LE(static_cast<int>(hook.applied().size()), budget);
-    if (budget == 0) EXPECT_TRUE(hook.applied().empty());
+    if (budget == 0) {
+      EXPECT_TRUE(hook.applied().empty());
+    }
   }
 }
 

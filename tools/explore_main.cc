@@ -3,7 +3,7 @@
 // Explore mode (default): run every seed of a workload through N perturbed
 // schedules, shrink the first violation per seed, and print a report.
 //
-//   explore_main --workload=toy --seeds=100 --explore=8 --delta=1000 \
+//   explore_main --workload=toy --seeds=100 --explore=8 --delta=1000
 //                --budget=8 --jobs=0 --repro-out=repro.txt
 //
 //   --workload=NAME           target stack (default toy): toy|rs|kv|tx, a
@@ -29,9 +29,14 @@
 //   --repro-out=FILE          write the first minimized reproducer to FILE
 //
 // Replay mode: re-execute a reproducer artifact and report whether the
-// recorded violation still reproduces.
+// recorded violation still reproduces. A failing chaos_test sweep seed
+// prints its reproducer (no perturbations) for exactly this.
 //
-//   explore_main --replay=repro.txt
+//   explore_main --replay=repro.txt [--trace=PATH] [--metrics]
+//
+//   --trace=PATH              write the run's span trace to PATH (Chrome
+//                             trace-event JSON, loadable in Perfetto)
+//   --metrics                 print the run's metrics snapshot
 //
 // Exit codes: 0 = explored clean (or replay reproduced the violation),
 // 1 = exploration found violations, 2 = replay did NOT reproduce,
@@ -70,6 +75,8 @@ int main(int argc, char** argv) {
   int jobs = 0;
   std::string repro_out;
   std::string replay_path;
+  std::string trace_path;
+  bool metrics = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -106,6 +113,10 @@ int main(int argc, char** argv) {
       repro_out = value("--repro-out=");
     } else if (arg.rfind("--replay=", 0) == 0) {
       replay_path = value("--replay=");
+    } else if (arg.rfind("--trace=", 0) == 0) {
+      trace_path = value("--trace=");
+    } else if (arg == "--metrics") {
+      metrics = true;
     } else {
       std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
       return 64;
@@ -126,7 +137,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(repro.seed),
                 static_cast<long long>(repro.delta),
                 repro.perturbations.size(), repro.disabled_windows.size());
-    explore::RunOutcome o = explore::ReplayReproducer(repro);
+    explore::RunOutcome o =
+        explore::ReplayReproducer(repro, trace_path, metrics);
+    if (!trace_path.empty()) {
+      std::printf(o.trace_written ? "trace written to %s\n"
+                                  : "no trace written to %s\n",
+                  trace_path.c_str());
+    }
+    if (metrics) std::printf("metrics:\n%s", o.metrics.c_str());
     if (!o.ok) {
       std::printf("violation reproduced (%s):\n%s\n", o.check_name.c_str(),
                   o.error.c_str());
