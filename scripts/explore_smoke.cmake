@@ -4,7 +4,7 @@
 #   cmake -DEXPLORE_BIN=<explore_main> -DWORK_DIR=<build dir>
 #         -P explore_smoke.cmake
 #
-# 1. explore sync_buggy seed 70 at defaults -> exit 1, writes a shrunk
+# 1. explore sync_buggy seed 6 at defaults -> exit 1, writes a shrunk
 #    reproducer (<= 5 perturbations, the positive-control bound)
 # 2. --replay of the saved artifact          -> exit 0, "violation reproduced"
 # 3. --replay of a tampered copy (perturb    -> exit 2, "did NOT reproduce"
@@ -17,7 +17,7 @@ set(repro ${WORK_DIR}/repro_sync_smoke.txt)
 file(REMOVE ${repro})
 
 execute_process(
-  COMMAND ${EXPLORE_BIN} --workload=sync_buggy --seed=70 --repro-out=${repro}
+  COMMAND ${EXPLORE_BIN} --workload=sync_buggy --seed=6 --repro-out=${repro}
   WORKING_DIRECTORY ${WORK_DIR}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
@@ -25,7 +25,7 @@ execute_process(
 )
 if(NOT rc EQUAL 1)
   message(FATAL_ERROR
-    "explore of sync_buggy seed 70 expected exit 1 (violations found), got "
+    "explore of sync_buggy seed 6 expected exit 1 (violations found), got "
     "${rc}:\n${out}\n${err}")
 endif()
 if(NOT EXISTS ${repro})

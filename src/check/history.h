@@ -27,9 +27,10 @@ namespace prism::check {
 using ValueId = uint64_t;
 inline constexpr ValueId kAbsent = 0;
 
-// Fingerprints never collide with kAbsent.
+// Fingerprints never collide with kAbsent. Two values that differ in one
+// 8-byte word never share a fingerprint (see Fingerprint64).
 inline ValueId IdOf(ByteView bytes) {
-  const uint64_t h = Fnv1a64(bytes);
+  const uint64_t h = Fingerprint64(bytes);
   return h == kAbsent ? 1 : h;
 }
 

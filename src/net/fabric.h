@@ -13,6 +13,20 @@
 // so an uncontended message pays ser(b) exactly once end-to-end, while a
 // contended ingress (many clients hammering one server) or egress (one server
 // answering many clients) serializes at link bandwidth.
+//
+// Folded client costs (see Fold): a send may leave `post` after the call
+// (t above is then now + post) and run its delivery callback `completion`
+// after r, so a client's doorbell and CQ poll cost no events of their own.
+// Both links are still reserved when Send is called. That equals reserving
+// them after the post as long as no frame that skips the post (a server's
+// answer, a reclaim notice, a batched request) takes the same link inside
+// the post window. The sender's egress is kept safe: a client on a host with
+// an unposted sender (AddUnpostedSender) keeps paying its post before it
+// sends. A receiver's ingress is not checked: a server taking both folded
+// requests and unposted frames orders them by post time. No figure and no
+// benchmark workload mixes the two on one server. Nor is a retransmission,
+// which leaves at once: on a lossy fabric it can queue behind a folded frame
+// of its own host that was posted before it but leaves after it.
 #ifndef PRISM_SRC_NET_FABRIC_H_
 #define PRISM_SRC_NET_FABRIC_H_
 
@@ -37,6 +51,19 @@ namespace prism::net {
 
 using HostId = uint32_t;
 
+// Client-side costs folded into one send. The frame leaves `post` after the
+// Send call and the delivery callback runs `completion` after the frame's
+// last byte arrives. For a folded op the fabric stamps the current op's
+// timeline: Phase::kWire when the frame leaves (post > 0) and
+// Phase::kBatchWait when it arrives (completion > 0). `arrival`, when set,
+// receives the arrival instant as soon as it is fixed (at the Send, or at
+// the retransmission that gets through).
+struct Fold {
+  sim::Duration post = 0;
+  sim::Duration completion = 0;
+  sim::TimePoint* arrival = nullptr;
+};
+
 class Fabric {
  public:
   // How long a verb, PRISM chain, RPC call or QP SEND waits for its answer
@@ -47,6 +74,7 @@ class Fabric {
   Fabric(sim::Simulator* sim, CostModel model, uint64_t loss_seed = 0x10552)
       : sim_(sim),
         deadlines_(sim, kOpTimeout),
+        posted_deadlines_(sim, kOpTimeout),
         model_(model),
         loss_rng_(loss_seed) {
     // Fabric and Simulator both outlive the hub's registry, so they report
@@ -61,9 +89,14 @@ class Fabric {
 
   const CostModel& cost() const { return model_; }
 
-  // The one kOpTimeout deadline queue every client on this fabric arms
-  // after its request Send and cancels once the op resolves.
+  // The kOpTimeout deadline queue every client on this fabric arms after
+  // its request Send and cancels once the op resolves.
   sim::DeadlineQueue& deadlines() { return deadlines_; }
+
+  // The same timeout for ops whose request Send folds in the client post:
+  // they arm at the Send with delay client_post (DeadlineQueue::Arm), so
+  // they keep a FIFO of their own.
+  sim::DeadlineQueue& posted_deadlines() { return posted_deadlines_; }
 
   // Per-simulation observability root (metrics registry, op accounting,
   // optional span tracer). See src/obs/obs.h.
@@ -99,6 +132,16 @@ class Fabric {
   // The host's dedicated CPU core pool (RPC handlers, software PRISM).
   sim::ServiceQueue& Cores(HostId id) { return *At(id).cores; }
 
+  // Registers an unposted sender on `id`: something that sends from this
+  // host on its own schedule, without a client post folded into the send —
+  // a server or QP endpoint (answers, acks), a reclaim client (free-buffer
+  // notices) or a client whose posts go through a VerbBatcher. A client on
+  // such a host cannot fold its post into the send (see the file comment).
+  void AddUnpostedSender(HostId id) { At(id).unposted_senders++; }
+  bool HasUnpostedSender(HostId id) const {
+    return At(id).unposted_senders > 0;
+  }
+
   // Failure injection: messages to/from a down host are dropped. Taking a
   // host down starts a new *incarnation* (epoch): frames already in flight
   // toward it — and any retransmit chains targeting it — are purged even if
@@ -106,11 +149,23 @@ class Fabric {
   // receives traffic addressed to its previous life.
   void SetHostUp(HostId id, bool up) {
     Host& h = At(id);
-    if (h.up && !up) ++h.epoch;
+    if (h.up && !up) {
+      h.crashed_at.push_back(sim_->Now());
+      ++h.epoch;
+    }
     h.up = up;
   }
   bool IsHostUp(HostId id) const { return At(id).up; }
   uint32_t HostEpoch(HostId id) const { return At(id).epoch; }
+
+  // True iff incarnation `epoch` of host `id` was alive at `t` (<= Now()).
+  // A frame is delivered iff its destination's incarnation was alive when
+  // its last byte arrived, however long a folded completion delays the
+  // callback.
+  bool AliveAt(HostId id, uint32_t epoch, sim::TimePoint t) const {
+    const Host& h = At(id);
+    return h.epoch == epoch || h.crashed_at[epoch] > t;
+  }
 
   // Directed partition: while blocked, frames src→dst vanish on the wire
   // (the transport retransmits until exhaustion, then reports a drop).
@@ -139,21 +194,28 @@ class Fabric {
   // type-erased PendingSend record is allocated only when a frame is lost
   // and the retransmit machinery needs to re-arm, and from then on the
   // callbacks are moved — never copied — between retransmit hops.
+  //
+  // `fold` moves the attempt `fold.post` into the future (every outcome,
+  // drops and losses included, happens at the folded instant) and delays
+  // delivery by `fold.completion`.
   template <typename Delivery, typename Dropped>
   void Send(HostId src, HostId dst, size_t payload_bytes, Delivery on_delivery,
-            Dropped on_dropped) {
-    if (!TryAttempt(src, dst, payload_bytes, on_delivery, on_dropped,
-                    /*attempt=*/0)) {
+            Dropped on_dropped, Fold fold = {}) {
+    // The current-op register is valid here (Send is entered synchronously
+    // from the arming client).
+    obs::OpTimeline* const op = obs_.current_op();
+    const sim::TimePoint start = sim_->Now() + fold.post;
+    if (fold.post > 0) obs::SwitchOpAt(op, obs::Phase::kWire, start);
+    if (!TryAttempt(src, dst, payload_bytes, on_delivery, on_dropped, fold,
+                    start, op, /*attempt=*/0)) {
       // The frame was lost: from this instant until a successful re-attempt
-      // the op is in loss recovery. The current-op register is still valid
-      // here (Send is entered synchronously from the arming client).
-      obs::OpTimeline* const op = obs_.current_op();
-      obs::SwitchOp(op, obs::Phase::kRetransmit, sim_->Now());
+      // the op is in loss recovery.
+      obs::SwitchOpAt(op, obs::Phase::kRetransmit, start);
       auto pending = std::make_unique<PendingSend>(
           PendingSend{src, dst, payload_bytes, std::move(on_delivery),
-                      std::move(on_dropped), /*attempt=*/0,
+                      std::move(on_dropped), fold, /*attempt=*/0,
                       At(dst).epoch, op});
-      ScheduleRetransmit(std::move(pending));
+      ScheduleRetransmit(std::move(pending), start);
     }
   }
 
@@ -170,6 +232,7 @@ class Fabric {
     size_t payload_bytes;
     std::function<void()> on_delivery;
     std::function<void()> on_dropped;
+    Fold fold;  // re-attempts leave at once: only `completion` still applies
     int attempt;
     uint32_t dst_epoch;  // incarnation targeted when the send was issued
     // Phase timeline of the op this frame belongs to (null when untimed);
@@ -196,22 +259,25 @@ class Fabric {
     }
   }
 
-  // Performs one wire attempt. Returns false iff the frame was lost and a
-  // retransmission should be armed; every other outcome schedules exactly
-  // one of the callbacks (consuming it by move).
+  // Performs one wire attempt leaving at `start` (>= Now()) on behalf of
+  // `op`. Returns false iff the frame was lost and a retransmission should
+  // be armed; every other outcome schedules exactly one of the callbacks
+  // (consuming it by move).
   template <typename Delivery, typename Dropped>
   bool TryAttempt(HostId src, HostId dst, size_t payload_bytes,
-                  Delivery& on_delivery, Dropped& on_dropped, int attempt) {
+                  Delivery& on_delivery, Dropped& on_dropped, const Fold& fold,
+                  sim::TimePoint start, obs::OpTimeline* op, int attempt) {
     constexpr bool kHasDropped = !std::is_same_v<Dropped, std::nullptr_t>;
     obs::Tracer* const tracer = obs_.tracer();
     if (!At(src).up || !At(dst).up) {
       if constexpr (kHasDropped) {
-        if (HasCallback(on_dropped)) sim_->Schedule(0, std::move(on_dropped));
+        if (HasCallback(on_dropped)) {
+          sim_->ScheduleAt(start, std::move(on_dropped));
+        }
       }
       wire_.dropped_messages++;
       if (tracer != nullptr) {
-        tracer->Instant("net.drop", "net", src, sim_->Now(),
-                        obs_.current_span());
+        tracer->Instant("net.drop", "net", src, start, obs_.current_span());
       }
       return true;
     }
@@ -223,7 +289,7 @@ class Fabric {
       if (attempt >= model_.max_retransmits) {
         if constexpr (kHasDropped) {
           if (HasCallback(on_dropped)) {
-            sim_->Schedule(0, std::move(on_dropped));
+            sim_->ScheduleAt(start, std::move(on_dropped));
           }
         }
         wire_.dropped_messages++;
@@ -241,13 +307,12 @@ class Fabric {
         loss_rng_.NextDouble() < model_.loss_probability) {
       wire_.lost_messages++;
       if (tracer != nullptr) {
-        tracer->Instant("net.loss", "net", src, sim_->Now(),
-                        obs_.current_span());
+        tracer->Instant("net.loss", "net", src, start, obs_.current_span());
       }
       if (attempt >= model_.max_retransmits) {
         if constexpr (kHasDropped) {
           if (HasCallback(on_dropped)) {
-            sim_->Schedule(0, std::move(on_dropped));
+            sim_->ScheduleAt(start, std::move(on_dropped));
           }
         }
         wire_.dropped_messages++;
@@ -257,61 +322,58 @@ class Fabric {
       return false;
     }
     const uint32_t dst_epoch = At(dst).epoch;
+    sim::TimePoint ready;
     if (src == dst) {
-      if (tracer != nullptr) {
-        tracer->EmitComplete("net.flight", "net", src, sim_->Now(),
-                             sim_->Now() + sim::Nanos(200),
-                             obs_.current_span());
-      }
-      sim_->Schedule(sim::Nanos(200),
-                     [this, dst, dst_epoch, cb = std::move(on_delivery)]() {
-                       DeliverIfAlive(dst, dst_epoch, cb);
-                     });
-      return true;
+      ready = start + sim::Nanos(200);
+    } else {
+      const sim::Duration ser = model_.SerializationDelay(payload_bytes);
+      Host& s = At(src);
+      Host& d = At(dst);
+      const sim::TimePoint depart = std::max(start, s.egress_free);
+      s.egress_free = depart + ser;
+      const sim::TimePoint arrival = depart + ser + model_.propagation;
+      ready = std::max(arrival, d.ingress_free + ser);
+      d.ingress_free = ready;
     }
-    const sim::Duration ser = model_.SerializationDelay(payload_bytes);
-    Host& s = At(src);
-    Host& d = At(dst);
-    const sim::TimePoint now = sim_->Now();
-    const sim::TimePoint depart = std::max(now, s.egress_free);
-    s.egress_free = depart + ser;
-    const sim::TimePoint arrival = depart + ser + model_.propagation;
-    const sim::TimePoint ready =
-        std::max(arrival, d.ingress_free + ser);
-    d.ingress_free = ready;
     // Cut-through timing is fully resolved at send time, so the flight span
     // is emitted here as a closed interval — the delivery callback is never
     // wrapped and the event stream is byte-identical with tracing off.
     if (tracer != nullptr) {
-      tracer->EmitComplete("net.flight", "net", src, now, ready,
+      tracer->EmitComplete("net.flight", "net", src, start, ready,
                            obs_.current_span());
     }
-    sim_->ScheduleAt(ready,
-                     [this, dst, dst_epoch, cb = std::move(on_delivery)]() {
-                       DeliverIfAlive(dst, dst_epoch, cb);
-                     });
+    if (fold.arrival != nullptr) *fold.arrival = ready;
+    if (fold.completion > 0) {
+      obs::SwitchOpAt(op, obs::Phase::kBatchWait, ready);
+    }
+    sim_->ScheduleAt(
+        ready + fold.completion,
+        [this, dst, dst_epoch, ready, cb = std::move(on_delivery)]() {
+          DeliverIfAlive(dst, dst_epoch, ready, cb);
+        });
     return true;
   }
 
-  // A frame reaching its delivery time is handed up only if the destination
-  // is alive *and* still the incarnation it was addressed to. A host that
-  // died while the message was in flight drops it — even if it has since
+  // A frame is handed up only if the incarnation it was addressed to was
+  // still alive when its last byte arrived at `ready`. A host that died
+  // while the message was in flight drops it — even if it has since
   // restarted (the new incarnation never saw the message).
   template <typename Delivery>
-  void DeliverIfAlive(HostId dst, uint32_t dst_epoch, Delivery& cb) {
-    const Host& d = At(dst);
-    if (d.up && d.epoch == dst_epoch) {
+  void DeliverIfAlive(HostId dst, uint32_t dst_epoch, sim::TimePoint ready,
+                      Delivery& cb) {
+    if (AliveAt(dst, dst_epoch, ready)) {
       cb();
     } else {
       wire_.purged_messages++;
     }
   }
 
-  void ScheduleRetransmit(std::unique_ptr<PendingSend> pending) {
-    sim_->Schedule(model_.retransmit_timeout,
-                   [this, p = std::move(pending)]() mutable {
-                     Retry(std::move(p));
-                   });
+  void ScheduleRetransmit(std::unique_ptr<PendingSend> pending,
+                          sim::TimePoint lost_at) {
+    sim_->ScheduleAt(lost_at + model_.retransmit_timeout,
+                     [this, p = std::move(pending)]() mutable {
+                       Retry(std::move(p));
+                     });
   }
 
   void Retry(std::unique_ptr<PendingSend> p) {
@@ -336,9 +398,9 @@ class Fabric {
     // op straight back to kRetransmit at the same timestamp (zero wire ns).
     obs::SwitchOp(p->op, obs::Phase::kWire, sim_->Now());
     if (!TryAttempt(p->src, p->dst, p->payload_bytes, p->on_delivery,
-                    p->on_dropped, p->attempt)) {
+                    p->on_dropped, p->fold, sim_->Now(), p->op, p->attempt)) {
       obs::SwitchOp(p->op, obs::Phase::kRetransmit, sim_->Now());
-      ScheduleRetransmit(std::move(p));
+      ScheduleRetransmit(std::move(p), sim_->Now());
     }
   }
 
@@ -372,6 +434,8 @@ class Fabric {
     sim::TimePoint ingress_free = 0;
     bool up = true;
     uint32_t epoch = 0;  // bumped on crash; identifies the incarnation
+    int unposted_senders = 0;  // see AddUnpostedSender
+    std::vector<sim::TimePoint> crashed_at;  // end of each past incarnation
   };
 
   Host& At(HostId id) {
@@ -419,6 +483,7 @@ class Fabric {
 
   sim::Simulator* sim_;
   sim::DeadlineQueue deadlines_;
+  sim::DeadlineQueue posted_deadlines_;
   CostModel model_;
   Rng loss_rng_;
   obs::Hub obs_;

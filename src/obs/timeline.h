@@ -58,19 +58,38 @@ class OpTimeline {
     started_ = true;
   }
 
+  OpTimeline() = default;
+  OpTimeline(const OpTimeline&) = delete;
+  OpTimeline& operator=(const OpTimeline&) = delete;
+  ~OpTimeline() { delete[] spill_; }
+
   // Attributes [last stamp, now) to the current phase, then enters `p`.
-  // No-op before Start or after Finish.
+  // Stamps registered with SwitchAt for instants up to `now_ns` are applied
+  // first. No-op before Start or after Finish.
   void Switch(Phase p, int64_t now_ns) {
     if (!started_ || done_) return;
-    phase_ns_[static_cast<int>(cur_)] += now_ns - last_ns_;
-    last_ns_ = now_ns;
-    if (p == Phase::kRetransmit && cur_ != Phase::kRetransmit) retransmits_++;
-    cur_ = p;
+    ApplyDue(now_ns);
+    Enter(p, now_ns);
+  }
+
+  // Registers a switch to `p` at `when_ns`, an instant no earlier than the
+  // latest stamp that may lie in the future: a send that folds the client's
+  // post or completion cost into its hop knows when the frame leaves and
+  // arrives before any event marks those instants. It is applied, in time
+  // order (ties in registration order), by the first Switch or Finish at or
+  // after `when_ns`; one still pending at Finish is dropped, as a stamp
+  // landing after Finish would be.
+  void SwitchAt(Phase p, int64_t when_ns) {
+    if (!started_ || done_) return;
+    if (n_due_ == due_capacity()) GrowDue();
+    due()[n_due_++] = Due{when_ns, p};
   }
 
   // Closes the timeline; later Switch/Finish calls are inert.
   void Finish(int64_t now_ns) {
     if (!started_ || done_) return;
+    ApplyDue(now_ns);
+    n_due_ = 0;
     phase_ns_[static_cast<int>(cur_)] += now_ns - last_ns_;
     end_ns_ = now_ns;
     done_ = true;
@@ -92,6 +111,50 @@ class OpTimeline {
   void set_root_span(SpanId s) { root_span_ = s; }
 
  private:
+  struct Due {
+    int64_t when_ns;
+    Phase phase;
+  };
+  // Pending stamps live inline; an op with more exchanges in flight than
+  // that spills them to the heap.
+  static constexpr uint32_t kInlineDue = 4;
+
+  void Enter(Phase p, int64_t now_ns) {
+    phase_ns_[static_cast<int>(cur_)] += now_ns - last_ns_;
+    last_ns_ = now_ns;
+    if (p == Phase::kRetransmit && cur_ != Phase::kRetransmit) retransmits_++;
+    cur_ = p;
+  }
+
+  // Applies every pending stamp due by `now_ns`, earliest first.
+  void ApplyDue(int64_t now_ns) {
+    while (n_due_ > 0) {
+      Due* d = due();
+      uint32_t next = 0;
+      for (uint32_t i = 1; i < n_due_; ++i) {
+        if (d[i].when_ns < d[next].when_ns) next = i;
+      }
+      if (d[next].when_ns > now_ns) return;
+      const Due stamp = d[next];
+      for (uint32_t i = next + 1; i < n_due_; ++i) d[i - 1] = d[i];
+      --n_due_;
+      Enter(stamp.phase, stamp.when_ns);
+    }
+  }
+
+  Due* due() { return spill_ != nullptr ? spill_ : inline_due_; }
+  uint32_t due_capacity() const {
+    return spill_ != nullptr ? spill_capacity_ : kInlineDue;
+  }
+  void GrowDue() {
+    const uint32_t cap = due_capacity() * 2;
+    Due* grown = new Due[cap];
+    for (uint32_t i = 0; i < n_due_; ++i) grown[i] = due()[i];
+    delete[] spill_;
+    spill_ = grown;
+    spill_capacity_ = cap;
+  }
+
   int64_t phase_ns_[kNumPhases] = {0, 0, 0, 0, 0, 0, 0};
   int64_t start_ns_ = 0;
   int64_t last_ns_ = 0;
@@ -102,11 +165,20 @@ class OpTimeline {
   Phase cur_ = Phase::kBacklogWait;
   bool started_ = false;
   bool done_ = false;
+  uint32_t n_due_ = 0;
+  uint32_t spill_capacity_ = 0;
+  Due inline_due_[kInlineDue];
+  Due* spill_ = nullptr;
 };
 
 // Null-safe phase switch: the stamping idiom at every handoff point.
 inline void SwitchOp(OpTimeline* op, Phase p, int64_t now_ns) {
   if (op != nullptr) op->Switch(p, now_ns);
+}
+
+// Null-safe SwitchAt, for an instant known ahead of its event.
+inline void SwitchOpAt(OpTimeline* op, Phase p, int64_t when_ns) {
+  if (op != nullptr) op->SwitchAt(p, when_ns);
 }
 
 // Owns every OpTimeline of one simulation run and aggregates the finished

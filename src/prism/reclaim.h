@@ -28,6 +28,7 @@ class ReclaimClient {
         server_(server),
         batch_size_(batch_size) {
     PRISM_CHECK_GT(batch_size, 0u);
+    fabric->AddUnpostedSender(self);  // notices leave without a client post
   }
 
   // Queues (queue, buffer) for return; ships a batch when full. Fire and

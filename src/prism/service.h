@@ -23,7 +23,6 @@
 #define PRISM_SRC_PRISM_SERVICE_H_
 
 #include <deque>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -80,6 +79,7 @@ class PrismServer {
     PRISM_CHECK(region.ok()) << region.status();
     on_nic_region_ = *region;
     on_nic_next_ = on_nic_region_.base;
+    fabric->AddUnpostedSender(host);
   }
 
   net::HostId host() const { return host_; }
@@ -118,7 +118,7 @@ class PrismServer {
       }
     } else {
       pending_posts_.push_back(
-          PendingPost{next_chain_id_, queue, std::move(buffers)});
+          PendingPost{active_chains_.next_id(), queue, std::move(buffers)});
     }
   }
 
@@ -172,8 +172,7 @@ class PrismServer {
         "prism.chain", "prism", host_, fabric_->simulator()->Now());
     const net::CostModel& c = fabric_->cost();
     ++in_flight_;
-    const uint64_t chain_id = next_chain_id_++;
-    active_chains_.insert(chain_id);
+    const uint64_t chain_id = active_chains_.Begin();
     switch (deployment_) {
       case Deployment::kSoftware: {
         co_await sim::SleepFor(fabric_->simulator(),
@@ -205,7 +204,7 @@ class PrismServer {
     chains_executed_++;
     chains_metric_->Add();
     --in_flight_;
-    active_chains_.erase(chain_id);
+    active_chains_.End(chain_id);
     FlushPendingPosts();
     fabric_->obs().FinishSpan(span, fabric_->simulator()->Now());
   }
@@ -227,8 +226,7 @@ class PrismServer {
   }
 
   void FlushPendingPosts() {
-    const uint64_t min_active =
-        active_chains_.empty() ? next_chain_id_ : *active_chains_.begin();
+    const uint64_t min_active = active_chains_.oldest();
     while (!pending_posts_.empty() &&
            pending_posts_.front().barrier <= min_active) {
       for (rdma::Addr b : pending_posts_.front().buffers) {
@@ -261,9 +259,45 @@ class PrismServer {
   obs::Counter* host_writes_metric_ = nullptr;
   obs::Counter* on_nic_metric_ = nullptr;
 
+  // Chain ids are handed out in order and retired in any order; the drain
+  // rule needs the oldest id still running. A ring of done flags over the
+  // ids in flight answers that without a per-chain allocation.
+  class ChainIds {
+   public:
+    uint64_t Begin() {
+      if (next_ - oldest_ == done_.size()) Grow();
+      done_[next_ & (done_.size() - 1)] = false;
+      return next_++;
+    }
+    void End(uint64_t id) {
+      done_[id & (done_.size() - 1)] = true;
+      while (oldest_ != next_ && done_[oldest_ & (done_.size() - 1)]) {
+        ++oldest_;
+      }
+    }
+    bool empty() const { return oldest_ == next_; }
+    // The oldest chain id still running, or next_id() when none is.
+    uint64_t oldest() const { return oldest_; }
+    uint64_t next_id() const { return next_; }
+
+   private:
+    // Doubles the ring, keeping every id at its slot modulo the new size.
+    void Grow() {
+      const size_t cap = done_.empty() ? 16 : done_.size() * 2;
+      std::vector<bool> grown(cap);
+      for (uint64_t id = oldest_; id != next_; ++id) {
+        grown[id & (cap - 1)] = done_[id & (done_.size() - 1)];
+      }
+      done_ = std::move(grown);
+    }
+
+    std::vector<bool> done_;  // power-of-two ring indexed by chain id
+    uint64_t oldest_ = 0;
+    uint64_t next_ = 0;
+  };
+
   int in_flight_ = 0;
-  uint64_t next_chain_id_ = 0;
-  std::set<uint64_t> active_chains_;
+  ChainIds active_chains_;
   uint64_t chains_executed_ = 0;
   uint64_t ops_executed_ = 0;
   std::deque<PendingPost> pending_posts_;

@@ -3,8 +3,10 @@
 namespace prism::rdma {
 
 AddressSpace::AddressSpace(uint64_t capacity)
-    : capacity_(capacity), data_(capacity, 0) {
+    : capacity_(capacity),
+      data_(static_cast<uint8_t*>(std::calloc(capacity, 1))) {
   PRISM_CHECK_GT(capacity, 64u);
+  PRISM_CHECK(data_ != nullptr) << "cannot allocate " << capacity << " B";
 }
 
 Result<Addr> AddressSpace::Carve(uint64_t bytes, uint64_t align) {
@@ -81,12 +83,12 @@ bool AddressSpace::IsOnNic(Addr addr, uint64_t len) const {
 uint8_t* AddressSpace::RawAt(Addr addr, uint64_t len) {
   PRISM_CHECK(addr < capacity_ && len <= capacity_ - addr)
       << "raw access out of bounds: addr=" << addr << " len=" << len;
-  return data_.data() + addr;
+  return data_.get() + addr;
 }
 
 const uint8_t* AddressSpace::RawAt(Addr addr, uint64_t len) const {
   PRISM_CHECK(addr < capacity_ && len <= capacity_ - addr);
-  return data_.data() + addr;
+  return data_.get() + addr;
 }
 
 uint64_t AddressSpace::LoadWord(Addr addr) const {

@@ -14,6 +14,8 @@
 #define PRISM_SRC_RDMA_MEMORY_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -105,9 +107,15 @@ class AddressSpace {
   void Store(Addr addr, ByteView data);
 
  private:
+  struct Free {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+
   uint64_t capacity_;
   uint64_t next_free_ = 64;  // keep address 0 unmapped: null pointer trap
-  std::vector<uint8_t> data_;
+  // calloc'd: a block the allocator maps fresh reads as zero without being
+  // written, so pages nothing touches cost no time and no memory.
+  std::unique_ptr<uint8_t, Free> data_;
   std::vector<MemoryRegion> regions_;
   RKey next_rkey_ = 0x1000;
 };

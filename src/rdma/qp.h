@@ -98,7 +98,9 @@ class QueuePair {
         sends_metric_(fabric->obs().metrics().AddCounter(
             "qp", "sends", fabric->HostName(host))),
         rnr_metric_(fabric->obs().metrics().AddCounter(
-            "qp", "rnr_nacks", fabric->HostName(host))) {}
+            "qp", "rnr_nacks", fabric->HostName(host))) {
+    fabric->AddUnpostedSender(host);  // sends after its own post; acks
+  }
 
   void Connect(QueuePair* peer) { peer_ = peer; }
 

@@ -47,7 +47,9 @@ class RdmaService {
         mem_(mem),
         nic_pipeline_(fabric->simulator(), fabric->cost().nic_pipeline_units),
         ops_metric_(fabric->obs().metrics().AddCounter(
-            "rdma", "server_ops", fabric->HostName(host))) {}
+            "rdma", "server_ops", fabric->HostName(host))) {
+    fabric->AddUnpostedSender(host);
+  }
 
   net::HostId host() const { return host_; }
   Backend backend() const { return backend_; }

@@ -84,7 +84,9 @@ class RpcServer {
       : fabric_(fabric),
         host_(host),
         served_metric_(fabric->obs().metrics().AddCounter(
-            "rpc", "calls_served", fabric->HostName(host))) {}
+            "rpc", "calls_served", fabric->HostName(host))) {
+    fabric->AddUnpostedSender(host);
+  }
 
   void Register(MethodId method, Handler handler) {
     PRISM_CHECK(handlers_.emplace(method, std::move(handler)).second)

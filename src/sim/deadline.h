@@ -7,8 +7,9 @@
 // earliest live deadline; an op that finishes in time cancels its entry in
 // O(1) and costs the engine nothing.
 //
-//  * Expiry timing is exact: a deadline armed at t expires at t + timeout,
-//    and deadlines that expire at the same instant run in arm order.
+//  * Expiry timing is exact: a deadline armed at t with delay δ expires at
+//    t + δ + timeout, and deadlines that expire at the same instant run in
+//    arm order.
 //  * The queue owns nothing. An op embeds a Deadline in its own state; the
 //    queue refers to it by pointer, and destroying an armed Deadline cancels
 //    it, so a cancelled or destroyed op never sees its expiry callback.
@@ -74,10 +75,15 @@ class DeadlineQueue {
   // Deadlines currently armed.
   size_t armed() const { return armed_; }
 
-  // Arms `d` to expire one timeout from Now().
-  void Arm(Deadline* d) {
+  // Arms `d` to expire one timeout after Now() + `delay`. Expiry instants
+  // must be armed in non-decreasing order, so every arm on one queue uses
+  // the same delay (an op whose request leaves `delay` after it is issued
+  // arms on a queue of its own).
+  void Arm(Deadline* d, Duration delay = 0) {
     PRISM_CHECK(!d->armed()) << "deadline armed twice";
-    const TimePoint when = sim_->Now() + timeout_;
+    const TimePoint when = sim_->Now() + delay + timeout_;
+    PRISM_CHECK(head_ == tail_ || At(tail_ - 1).when <= when)
+        << "deadlines armed out of expiry order";
     if (tail_ - head_ == buf_.size()) Grow();
     d->queue_ = this;
     d->ticket_ = tail_;

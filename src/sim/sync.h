@@ -32,6 +32,8 @@
 
 namespace prism::sim {
 
+// The first waiter is kept inline: most events (quorum joins, atomic
+// ordering gates) have one, and they then cost no heap allocation.
 class Event {
  public:
   explicit Event(Simulator* sim) : sim_(sim) {}
@@ -39,8 +41,10 @@ class Event {
   void Set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) sim_->Resume(h);
-    waiters_.clear();
+    if (first_) sim_->Resume(first_);
+    for (auto h : more_) sim_->Resume(h);
+    first_ = nullptr;
+    more_.clear();
   }
 
   bool is_set() const { return set_; }
@@ -50,7 +54,11 @@ class Event {
       Event* event;
       bool await_ready() const noexcept { return event->set_; }
       void await_suspend(std::coroutine_handle<> h) {
-        event->waiters_.push_back(h);
+        if (!event->first_) {
+          event->first_ = h;
+        } else {
+          event->more_.push_back(h);
+        }
       }
       void await_resume() const noexcept {}
     };
@@ -60,7 +68,8 @@ class Event {
  private:
   Simulator* sim_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;
+  std::vector<std::coroutine_handle<>> more_;  // waiters after the first
 };
 
 // k-of-n barrier with success/failure accounting.

@@ -14,11 +14,13 @@
 // here: negative tests proving the checkers *reject* bad histories (a
 // checker that accepts everything would pass any sweep), a crash-amnesia
 // test proving the linearizability checker notices when a wiped quorum
-// loses an acknowledged write, and the chaos monkey's unit tests.
+// loses an acknowledged write, the value fingerprint's collision rules,
+// and the chaos monkey's unit tests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "src/chaos/chaos.h"
 #include "src/check/checker.h"
 #include "src/check/history.h"
+#include "src/common/rng.h"
 #include "src/explore/explore.h"
 #include "src/explore/workloads.h"
 #include "src/harness/sweep.h"
@@ -214,6 +217,48 @@ constexpr check::ValueId kA = 0xAAAA;
 constexpr check::ValueId kB = 0xBBBB;
 using check::OpType;
 using check::Outcome;
+
+// Value fingerprints: the checkers equate values by IdOf, so distinct
+// values the sweeps write must never share an id, and no value may read as
+// absent.
+TEST(ValueIdTest, OneBitFlipInAnyWordOf512BValueChangesTheId) {
+  // Every one-bit flip of a 512 B value, in any of its 64 words, gets an id
+  // of its own.
+  Bytes value(512);
+  Rng rng(11);
+  for (auto& b : value) b = static_cast<uint8_t>(rng.NextU64());
+  std::set<check::ValueId> seen = {check::IdOf(value)};
+  for (size_t bit = 0; bit < value.size() * 8; ++bit) {
+    Bytes flipped = value;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_TRUE(seen.insert(check::IdOf(flipped)).second)
+        << "word " << bit / 64 << " bit " << bit % 64;
+  }
+}
+
+TEST(ValueIdTest, LengthMatters) {
+  // Zero padding must not alias: every prefix of an all-zero buffer,
+  // including the empty one, has an id of its own.
+  const Bytes zeros(520, 0);
+  std::set<check::ValueId> seen;
+  for (size_t len = 0; len <= zeros.size(); ++len) {
+    EXPECT_TRUE(seen.insert(check::IdOf(ByteView(zeros.data(), len))).second)
+        << "len " << len;
+  }
+  EXPECT_NE(check::IdOf(Bytes{7}), check::IdOf(Bytes{7, 0}));
+}
+
+TEST(ValueIdTest, NoValueReadsAsAbsent) {
+  EXPECT_NE(check::IdOf(Bytes{}), check::kAbsent);
+  Rng rng(13);
+  for (int i = 0; i < 20000; ++i) {
+    Bytes v(rng.NextBelow(600), 0);
+    if (i % 2 == 1) {
+      for (auto& b : v) b = static_cast<uint8_t>(rng.NextU64());
+    }
+    EXPECT_NE(check::IdOf(v), check::kAbsent) << "value " << i;
+  }
+}
 
 TEST(CheckerTest, AcceptsSequentialAndConcurrentHistory) {
   std::vector<check::Op> h = {

@@ -126,6 +126,30 @@ TEST(HashTest, Crc32DetectsSingleBitFlips) {
   }
 }
 
+// The byte-at-a-time definition of CRC-32, which the table-sliced
+// implementation must reproduce at every length and alignment.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t len) {
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(HashTest, Crc32MatchesBytewiseDefinitionAtEveryLengthAndOffset) {
+  Bytes data(600);
+  Rng rng(5);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; offset + len <= data.size(); len += (len < 80 ? 1 : 61)) {
+      EXPECT_EQ(Crc32(data.data() + offset, len),
+                BytewiseCrc32(data.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
 TEST(HashTest, MixU64IsInjectiveOnSample) {
   std::set<uint64_t> seen;
   for (uint64_t i = 0; i < 10000; ++i) {

@@ -579,10 +579,9 @@ TEST(RealStackTest, NoViolationsUnderBoundedReordering) {
 // ---------- end-to-end: sync suite reproducer round trip ----------
 
 // The defaults tools/explore_main resolves for the sync workloads
-// (DefaultRuns/DefaultDelta). Of sync_buggy's first 300 seeds, 10 violate
-// linearizability under them (29, 70, 99, 118, 121, 221, 224, 245, 270,
-// 278); seed 70 is the first that shrinks to <= 5 perturbations (seed 29
-// needs 7).
+// (DefaultRuns/DefaultDelta). Of sync_buggy's first 300 seeds, 11 violate
+// linearizability under them (6, 8, 60, 80, 83, 102, 120, 159, 213, 258,
+// 273); seed 6, the first, shrinks to 3 perturbations.
 ExploreOptions SyncExploreOptions() {
   ExploreOptions opts;
   opts.runs = DefaultRuns(Workload::kSyncBuggy);
@@ -596,7 +595,7 @@ ExploreOptions SyncExploreOptions() {
 
 TEST(SyncReproducerTest, ShrunkBuggyReproTextRoundTripsAndReplays) {
   const SeedReport rep =
-      ExploreSeed(Workload::kSyncBuggy, /*seed=*/70, SyncExploreOptions());
+      ExploreSeed(Workload::kSyncBuggy, /*seed=*/6, SyncExploreOptions());
   ASSERT_GT(rep.failures, 0) << "positive control missed the torn read";
   ASSERT_TRUE(rep.repro.has_value());
   EXPECT_GE(rep.repro->perturbations.size(), 1u);
@@ -633,7 +632,7 @@ TEST(SyncReproducerTest, BuggySweepIsDeterministicAcrossJobCounts) {
   // Same shrunk artifacts regardless of sweep fan-out: the bytes a user
   // saves with --repro-out are independent of --jobs.
   std::vector<uint64_t> seeds;
-  for (uint64_t s = 221; s <= 232; ++s) seeds.push_back(s);
+  for (uint64_t s = 1; s <= 12; ++s) seeds.push_back(s);
   const SweepReport serial =
       ExploreSweep(Workload::kSyncBuggy, seeds, SyncExploreOptions(),
                    /*jobs=*/1);
@@ -643,7 +642,7 @@ TEST(SyncReproducerTest, BuggySweepIsDeterministicAcrossJobCounts) {
   ASSERT_EQ(serial.reports.size(), parallel.reports.size());
   EXPECT_EQ(serial.total_runs, parallel.total_runs);
   EXPECT_EQ(serial.failing_seeds, parallel.failing_seeds);
-  EXPECT_GT(serial.failing_seeds, 0) << "expected seeds 221 and 224 to violate";
+  EXPECT_GT(serial.failing_seeds, 0) << "expected seeds 6 and 8 to violate";
   for (size_t i = 0; i < serial.reports.size(); ++i) {
     const SeedReport& a = serial.reports[i];
     const SeedReport& b = parallel.reports[i];

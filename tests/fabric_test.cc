@@ -237,6 +237,83 @@ TEST(FabricTest, PermanentPartitionExhaustsToDrop) {
   EXPECT_EQ(fabric.partitioned_messages(), 4u);
 }
 
+// ---- folded client costs (Fold) ----
+
+TEST(FabricTest, FoldedSendLeavesAfterPostAndDeliversAfterCompletion) {
+  // A send folded with (post, completion) delivers exactly `completion`
+  // after the same frame sent plainly `post` later would have.
+  Simulator sim;
+  Fabric fabric(&sim, CostModel::EvalCluster40G());
+  HostId a = fabric.AddHost("a");
+  HostId b = fabric.AddHost("b");
+  sim::TimePoint plain_at = -1, folded_at = -1, arrival = -1;
+  sim.Schedule(sim::Nanos(350), [&] {
+    fabric.Send(a, b, 512, [&] { plain_at = sim.Now(); });
+  });
+  sim.Run();
+  const sim::TimePoint plain_ready = plain_at - sim::Nanos(350);
+  // Second round, on idle links again: the folded frame from t0.
+  const sim::TimePoint t0 = sim.Now();
+  fabric.Send(a, b, 512, [&] { folded_at = sim.Now(); }, nullptr,
+              Fold{.post = sim::Nanos(350),
+                   .completion = sim::Nanos(200),
+                   .arrival = &arrival});
+  EXPECT_EQ(arrival, t0 + sim::Nanos(350) + plain_ready);
+  sim.Run();
+  EXPECT_EQ(folded_at, arrival + sim::Nanos(200));
+  EXPECT_EQ(fabric.total_messages(), 2u);
+}
+
+TEST(FabricTest, FoldedDropFiresAtTheFoldedInstant) {
+  Simulator sim;
+  Fabric fabric(&sim, CostModel::EvalCluster40G());
+  HostId a = fabric.AddHost("a");
+  HostId b = fabric.AddHost("b");
+  fabric.SetHostUp(b, false);
+  sim::TimePoint dropped_at = -1;
+  fabric.Send(a, b, 64, [] {}, [&] { dropped_at = sim.Now(); },
+              Fold{.post = sim::Nanos(350)});
+  sim.Run();
+  EXPECT_EQ(dropped_at, sim::Nanos(350));
+}
+
+TEST(FabricTest, FoldedCompletionDeliversIfAliveWhenTheFrameArrived) {
+  // Delivery follows the destination's incarnation at arrival, not at the
+  // end of the folded completion: a crash during the completion still
+  // delivers (the answer was in), a crash before the arrival purges.
+  for (const bool crash_after_arrival : {true, false}) {
+    Simulator sim;
+    Fabric fabric(&sim, CostModel::EvalCluster40G());
+    HostId a = fabric.AddHost("a");
+    HostId b = fabric.AddHost("b");
+    sim::TimePoint arrival = -1;
+    int delivered = 0;
+    fabric.Send(a, b, 64, [&] { delivered++; }, nullptr,
+                Fold{.completion = Micros(1), .arrival = &arrival});
+    const sim::TimePoint crash =
+        crash_after_arrival ? arrival + sim::Nanos(500) : arrival - 1;
+    sim.ScheduleAt(crash, [&] {
+      fabric.SetHostUp(b, false);
+      fabric.SetHostUp(b, true);
+    });
+    sim.Run();
+    EXPECT_EQ(delivered, crash_after_arrival ? 1 : 0);
+    EXPECT_EQ(fabric.purged_messages(), crash_after_arrival ? 0u : 1u);
+    EXPECT_EQ(fabric.AliveAt(b, 0, arrival), crash_after_arrival);
+  }
+}
+
+TEST(FabricTest, UnpostedSendersAreRegisteredPerHost) {
+  Simulator sim;
+  Fabric fabric(&sim, CostModel::EvalCluster40G());
+  HostId a = fabric.AddHost("a");
+  HostId b = fabric.AddHost("b");
+  EXPECT_FALSE(fabric.HasUnpostedSender(a));
+  fabric.AddUnpostedSender(b);
+  EXPECT_FALSE(fabric.HasUnpostedSender(a));
+  EXPECT_TRUE(fabric.HasUnpostedSender(b));
+}
+
 TEST(FabricTest, LoopbackSkipsWireButPaysLocalHop) {
   Simulator sim;
   Fabric fabric(&sim, CostModel::EvalCluster40G());

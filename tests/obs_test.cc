@@ -10,6 +10,7 @@
 
 #include "src/net/fabric.h"
 #include "src/obs/obs.h"
+#include "src/obs/timeline.h"
 #include "src/prism/service.h"
 #include "src/rdma/service.h"
 #include "src/rpc/rpc.h"
@@ -193,6 +194,60 @@ TEST(TracerTest, OpenSpansFlushAsZeroLength) {
   const std::string json = t.ToChromeJson();
   EXPECT_NE(json.find("stuck"), std::string::npos);
   EXPECT_EQ(t.open_count(), 1u);  // flushing does not close the span
+}
+
+// ---- op timeline: stamps registered ahead of their instant ----
+
+TEST(OpTimelineTest, StampsAtFutureInstantsApplyInTimeOrder) {
+  // Two exchanges of one op post at 0 and 100 (their frames leave 350 ns
+  // later); the first answer arrives at 2000. Registered out of time order
+  // and interleaved with a direct stamp, they land exactly as if each had
+  // been stamped by an event at its own instant.
+  OpTimeline t;
+  t.Start(0, 0);
+  t.Switch(Phase::kBatchWait, 0);
+  t.SwitchAt(Phase::kWire, 350);
+  t.Switch(Phase::kBatchWait, 100);  // the second exchange begins
+  t.SwitchAt(Phase::kBatchWait, 2000);
+  t.SwitchAt(Phase::kWire, 450);
+  t.Switch(Phase::kResponder, 1500);  // request delivery
+  t.Finish(2350);
+  EXPECT_EQ(t.phase_ns(Phase::kBacklogWait), 0);
+  EXPECT_EQ(t.phase_ns(Phase::kBatchWait), 350 + 350);  // [0,350) [2000,2350)
+  EXPECT_EQ(t.phase_ns(Phase::kWire), 1150);            // [350,1500)
+  EXPECT_EQ(t.phase_ns(Phase::kResponder), 500);        // [1500,2000)
+  EXPECT_EQ(t.total_ns(), 2350);
+}
+
+TEST(OpTimelineTest, StampDueAtFinishIsDroppedAfterIt) {
+  OpTimeline t;
+  t.Start(0, 10);
+  t.SwitchAt(Phase::kWire, 20);
+  t.SwitchAt(Phase::kBatchWait, 40);  // after Finish: never applied
+  t.Finish(30);
+  t.Switch(Phase::kApp, 50);  // inert
+  EXPECT_EQ(t.phase_ns(Phase::kBacklogWait), 10);
+  EXPECT_EQ(t.phase_ns(Phase::kWire), 10);
+  EXPECT_EQ(t.phase_ns(Phase::kBatchWait), 0);
+  EXPECT_EQ(t.total_ns(), 20);
+}
+
+TEST(OpTimelineTest, ManyPendingStampsSpillAndKeepOrder) {
+  // A wide fan-out registers more stamps than fit inline; ties apply in
+  // registration order.
+  OpTimeline t;
+  t.Start(0, 0);
+  for (int i = 9; i >= 0; --i) t.SwitchAt(Phase::kWire, 100 + 10 * i);
+  t.SwitchAt(Phase::kResponder, 100);
+  t.SwitchAt(Phase::kRetransmit, 250);
+  t.Finish(300);
+  EXPECT_EQ(t.phase_ns(Phase::kBacklogWait), 100);
+  // At 100 the wire stamp, registered first, applies before the responder
+  // one; the wire stamp at 110 ends the responder interval.
+  EXPECT_EQ(t.phase_ns(Phase::kResponder), 10);  // [100, 110)
+  EXPECT_EQ(t.phase_ns(Phase::kWire), 140);      // [110, 250)
+  EXPECT_EQ(t.phase_ns(Phase::kRetransmit), 50);
+  EXPECT_EQ(t.retransmits(), 1u);
 }
 
 // ---- op accountant ----

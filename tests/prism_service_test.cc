@@ -167,6 +167,52 @@ TEST_F(PrismServiceTest, PostDeferredWhileChainInFlight) {
   EXPECT_EQ(sw_.freelists().available(queue_), before + 1);
 }
 
+TEST_F(PrismServiceTest, PostWaitsForOlderChainsOnlyAcrossManyInFlight) {
+  // 40 chains of mixed length are in flight (they retire out of order)
+  // when a buffer is posted; one long chain starts after the post. The post
+  // flushes once the 40 older chains are done, while the newer one still
+  // runs.
+  for (int i = 0; i < 40; ++i) {
+    Chain chain;
+    for (int k = 0; k <= i % 5; ++k) {
+      chain.push_back(Op::Write(region_.rkey, region_.base, Bytes(8)));
+    }
+    auto c = std::make_shared<Chain>(std::move(chain));
+    sim::Spawn([this, c]() -> Task<void> {
+      auto r = co_await client_.Execute(&sw_, std::move(*c));
+      EXPECT_TRUE(r.ok());
+    });
+  }
+  const size_t before = sw_.freelists().available(queue_);
+  uint64_t executed_at_flush = 0;
+  int in_flight_at_flush = -1;
+  sim_.Schedule(Micros(4), [&] {
+    ASSERT_EQ(sw_.in_flight(), 40);
+    sw_.PostBuffers(queue_, {region_.base + 200000});
+    EXPECT_EQ(sw_.deferred_posts(), 1u);
+    sim::Spawn([this]() -> Task<void> {
+      Chain slow;
+      for (int k = 0; k < 200; ++k) {
+        slow.push_back(Op::Write(region_.rkey, region_.base, Bytes(8)));
+      }
+      auto r = co_await client_.Execute(&sw_, std::move(slow));
+      EXPECT_TRUE(r.ok());
+    });
+  });
+  for (int t = 5; t < 60; ++t) {
+    sim_.Schedule(Micros(t), [&] {
+      if (in_flight_at_flush < 0 && sw_.deferred_posts() == 0) {
+        executed_at_flush = sw_.chains_executed();
+        in_flight_at_flush = sw_.in_flight();
+      }
+    });
+  }
+  sim_.Run();
+  EXPECT_GE(executed_at_flush, 40u);
+  EXPECT_EQ(in_flight_at_flush, 1);  // the newer chain
+  EXPECT_EQ(sw_.freelists().available(queue_), before + 1);
+}
+
 TEST_F(PrismServiceTest, ScratchAllocationsAreDisjointAndBounded) {
   auto a = sw_.AllocateScratch(32);
   auto b = sw_.AllocateScratch(32);

@@ -4,6 +4,10 @@
 
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "src/net/fabric.h"
 #include "src/rdma/batch.h"
 #include "src/rdma/memory.h"
@@ -420,6 +424,99 @@ TEST_F(RdmaFabricTest, LateAnswerDoesNotOverwriteDeadlineError) {
   EXPECT_EQ(hw_service_.ops_executed(), 1u);
   EXPECT_EQ(client_.tally().round_trips, 0u);
   EXPECT_EQ(client_.tally().bytes_in, 0u);
+}
+
+TEST_F(RdmaFabricTest, ArrivedAnswerBeatsADeadlineInItsCompletion) {
+  // The answer arrives 500 µs before the deadline, and the deadline expires
+  // while the client pays its 1 ms completion: the answer wins.
+  fabric_.mutable_cost().completion = sim::Millis(1);
+  fabric_.mutable_cost().nic_process =
+      net::Fabric::kOpTimeout - sim::Micros(500);
+  mem_.Store(region_.base, Bytes(64, 0xaa));
+  bool checked = false;
+  sim::Spawn([&]() -> Task<void> {
+    auto r =
+        co_await client_.Read(&hw_service_, region_.rkey, region_.base, 64);
+    EXPECT_TRUE(r.ok()) << r.status();
+    EXPECT_GT(sim_.Now(), net::Fabric::kOpTimeout);
+    checked = true;
+  });
+  sim_.Run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(client_.tally().round_trips, 1u);
+  EXPECT_EQ(client_.tally().bytes_in, 64u);
+}
+
+TEST_F(RdmaFabricTest, ClientOnAServingHostKeepsItsPost) {
+  // A client sharing its host with a responder sleeps through client_post
+  // before it sends (one event more), and sees the same simulated latency.
+  const net::HostId both = fabric_.AddHost("client+server");
+  RdmaService peer_service(&fabric_, both, Backend::kHardwareNic, &mem_);
+  RdmaClient serving_client(&fabric_, both);
+  sim::TimePoint pure_done = 0, serving_done = 0;
+  uint64_t pure_events = 0, serving_events = 0;
+  const uint64_t e0 = sim_.executed_events();
+  sim::Spawn([&]() -> Task<void> {
+    co_await client_.Read(&hw_service_, region_.rkey, region_.base, 64);
+    pure_done = sim_.Now();
+  });
+  sim_.Run();
+  pure_events = sim_.executed_events() - e0;
+  const sim::TimePoint t1 = sim_.Now();
+  const uint64_t e1 = sim_.executed_events();
+  sim::Spawn([&]() -> Task<void> {
+    co_await serving_client.Read(&hw_service_, region_.rkey, region_.base,
+                                 64);
+    serving_done = sim_.Now();
+  });
+  sim_.Run();
+  serving_events = sim_.executed_events() - e1;
+  EXPECT_TRUE(fabric_.HasUnpostedSender(both));
+  EXPECT_FALSE(fabric_.HasUnpostedSender(client_host_));
+  EXPECT_EQ(serving_done - t1, pure_done);
+  EXPECT_EQ(serving_events, pure_events + 1);
+}
+
+// Exposes Endpoint's exchange so a test can watch one exchange's storage.
+class ProbeEndpoint : public Endpoint {
+ public:
+  ProbeEndpoint(net::Fabric* fabric, net::HostId self)
+      : Endpoint(fabric, self) {}
+
+  // A NIC-side no-op exchange that records where its state lives.
+  sim::Task<Result<int>> Probe(net::HostId server, void** state) {
+    return Exchange<Result<int>>(
+        "test.probe", "test", server, /*req_bytes=*/16, /*cpu=*/false,
+        [this, state](auto x) -> sim::Task<void> {
+          *state = x.get();
+          Respond(x, Result<int>(7), /*resp_bytes=*/8);
+          co_return;
+        });
+  }
+};
+
+TEST_F(RdmaFabricTest, FinishedExchangeStateIsRecycled) {
+  ProbeEndpoint probe(&fabric_, client_host_);
+  void* first = nullptr;
+  void* second = nullptr;
+  int ok = 0;
+  for (void** state : {&first, &second}) {
+    sim::Spawn([&, state]() -> Task<void> {
+      auto r = co_await probe.Probe(server_, state);
+      ok += r.ok() && *r == 7;
+    });
+    sim_.Run();
+  }
+  EXPECT_EQ(ok, 2);
+  ASSERT_NE(first, nullptr);
+  // The second exchange reuses the first's block from the frame cache.
+  EXPECT_EQ(first, second);
+#if defined(__SANITIZE_ADDRESS__)
+  // A finished exchange sits poisoned in the cache: reading it is reported.
+  EXPECT_TRUE(__asan_address_is_poisoned(second));
+  EXPECT_DEATH((void)*static_cast<volatile const char*>(second),
+               "use-after-poison");
+#endif
 }
 
 TEST_F(RdmaFabricTest, ServerEgressSaturatesUnderLoad) {

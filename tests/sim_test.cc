@@ -640,6 +640,21 @@ TEST(DeadlineQueueTest, ExpiryFiresAtExactlyArmPlusTimeout) {
   EXPECT_EQ(sim.Now(), Micros(7) + kTimeout);
 }
 
+TEST(DeadlineQueueTest, DelayedArmExpiresOneTimeoutAfterTheDelay) {
+  // An op whose request leaves `delay` after it arms expires one timeout
+  // after that instant; arms that share the delay stay in expiry order.
+  Simulator sim;
+  DeadlineQueue q(&sim, kTimeout);
+  std::vector<std::string> log;
+  Guarded a(&sim, &log, "a"), b(&sim, &log, "b");
+  sim.Schedule(Micros(7), [&] { q.Arm(&a.deadline, Nanos(350)); });
+  sim.Schedule(Micros(8), [&] { q.Arm(&b.deadline, Nanos(350)); });
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(a.expired_at, Micros(7) + Nanos(350) + kTimeout);
+  EXPECT_EQ(b.expired_at, Micros(8) + Nanos(350) + kTimeout);
+}
+
 TEST(DeadlineQueueTest, SameTickExpiriesRunInArmOrder) {
   Simulator sim;
   DeadlineQueue q(&sim, kTimeout);
